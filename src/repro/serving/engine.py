@@ -324,7 +324,7 @@ class ServingEngine:
         requests: Sequence[Any]
         if options.max_admitted:
             requests = LazyRequestStream(
-                self.service.key, options.requests, options.batch_size,
+                self.service, options.requests, options.batch_size,
                 attack_every=options.attack_every,
                 max_admitted=options.max_admitted)
         else:

@@ -106,8 +106,9 @@ def nginx_body_patch(program: Program, codec: Codec) -> HeapPatch:
     ``main → worker_loop → handle_request → send_response →
     malloc(body_buf)`` — under the deployed codec and returns the
     ``{malloc, CCID, OVERFLOW}`` patch a diagnosis of the leak would
-    emit.  Used by tests and the swap demonstration; the CCID is
-    identical for the batched and per-op serving paths by construction.
+    emit.  Used by tests and the swap demonstration.  The CCID is the
+    same for ``main`` and ``serve_main``: both allocate the body in the
+    one ``send_response`` stage of ``NginxServer._stages``.
     """
     graph = program.graph
     path = (

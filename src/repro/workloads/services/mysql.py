@@ -13,7 +13,7 @@ buffer pool; each query then borrows pool pages and only occasionally
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from ...program.blocks import BasicBlock, BlockBuilder
 from ...program.callgraph import CallGraph
@@ -48,6 +48,20 @@ def request_stream(count: int) -> List[Tuple[int, bool]]:
     return list(request_stream_iter(count))
 
 
+def _query_block() -> BasicBlock:
+    b = BlockBuilder()
+    b.read(0, 256, 128)  # row lookup: a few cache lines of the page
+    b.write(0, 64, b"\x01" * 16)  # dirty flag
+    b.compute(1600)  # btree descent + row eval + net reply
+    return b.build()
+
+
+#: The point-query body (arg 0 = the borrowed pool page): the one
+#: definition ``main``'s per-query frames and ``serve_main``'s fused
+#: runs both execute.
+QUERY_BLOCK = _query_block()
+
+
 class MySqlServer(Program):
     """Storage-engine worker with a startup-allocated buffer pool."""
 
@@ -67,8 +81,14 @@ class MySqlServer(Program):
         return graph
 
     def main(self, p: Process, query_count: int) -> Dict[str, int]:
+        return self._with_pool(p, self._query_loop, query_count)
+
+    def _with_pool(self, p: Process, loop: Callable[..., Any],
+                   arg: Any) -> Any:
+        """Start up, run ``loop(pool, arg)`` as the query loop, tear
+        down."""
         pool, key_cache = p.call("startup", self._startup)
-        stats = p.call("query_loop", self._query_loop, pool, query_count)
+        stats = p.call("query_loop", loop, pool, arg)
         for page in pool:
             p.free(page)
         p.free(key_cache)
@@ -99,11 +119,7 @@ class MySqlServer(Program):
     def _execute_query(self, p: Process, pool: List[int], page_index: int,
                        needs_sort: bool) -> int:
         """One point query: touch a pool page; rare queries sort."""
-        page = pool[page_index]
-        # Row lookup: read a few cache lines from the pooled page.
-        p.read(page + 256, 128)
-        p.write(page + 64, b"\x01" * 16)
-        p.compute(1600)  # btree descent + row eval + net reply
+        p.exec_block(QUERY_BLOCK, pool[page_index])
         if needs_sort:
             p.call("sort_rows", self._sort_rows)
         return 1
@@ -127,24 +143,18 @@ class MySqlServer(Program):
         ``execute_query`` frame chain so ``sort_buf`` allocations carry
         the exact sequential CCID.
         """
-        pool, key_cache = p.call("startup", self._startup)
-        stats = p.call("query_loop", self._serve_query_loop, pool, queries)
-        for page in pool:
-            p.free(page)
-        p.free(key_cache)
-        return stats
+        return self._with_pool(p, self._serve_query_loop, queries)
 
     def _serve_query_loop(self, p: Process, pool: List[int],
                           queries: List[Tuple[int, bool]]) -> Dict[str, Any]:
         rows = 0
         sorts = 0
-        block = self._query_block()
         point_rows: List[Tuple[int]] = []
         append_row = point_rows.append
         for page_index, needs_sort in queries:
             if needs_sort:
                 if point_rows:
-                    p.exec_block_run(block, point_rows)
+                    p.exec_block_run(QUERY_BLOCK, point_rows)
                     rows += len(point_rows)
                     point_rows = []
                     append_row = point_rows.append
@@ -154,27 +164,8 @@ class MySqlServer(Program):
             else:
                 append_row((pool[page_index],))
         if point_rows:
-            p.exec_block_run(block, point_rows)
+            p.exec_block_run(QUERY_BLOCK, point_rows)
             rows += len(point_rows)
         outcomes = [("ok", 1)] * len(queries)
         return {"rows": rows, "sorts": sorts, "served": len(queries),
                 "bytes_sent": rows, "outcomes": outcomes}
-
-    def _query_block(self) -> BasicBlock:
-        """The fused point-query body (arg 0 = the borrowed pool page)."""
-        block: BasicBlock = self.__dict__.get("_serve_block")  # type: ignore
-        if block is None:
-            b = BlockBuilder()
-            b.read(0, 256, 128)
-            b.write(0, 64, b"\x01" * 16)
-            b.compute(1600)
-            block = b.build()
-            self.__dict__["_serve_block"] = block
-        return block
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The serve block is a per-process cache; workers rebuild it
-        # lazily, keeping the shipped program plan pickle-clean.
-        state = dict(self.__dict__)
-        state.pop("_serve_block", None)
-        return state

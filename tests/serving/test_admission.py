@@ -13,7 +13,12 @@ from dataclasses import replace
 import pytest
 
 from repro.serving.engine import ServingError, ServingOptions, serve
+from repro.serving.services import serving_registry
 from repro.serving.stream import LazyRequestStream
+from repro.workloads.services.nginx import (DOCUMENT_TREE, LEAK_BODY_SIZE,
+                                            LEAK_EXTRA)
+
+NGINX = serving_registry()["nginx"]
 
 OPTIONS = ServingOptions(service="nginx", requests=120, batch_size=10,
                          attack_every=9)
@@ -66,14 +71,34 @@ class TestBoundedAdmission:
         result = serve(replace(OPTIONS, max_admitted=3))
         assert result.report["max_admitted"] == 3
 
+    def test_bounded_admission_serves_the_engines_own_service(self):
+        """The lazy stream draws from the service the engine was given,
+        not from the registry entry of the same key."""
+        custom = replace(NGINX, stream=single_path_stream, stream_iter=None)
+        eager = serve(OPTIONS, service=custom)
+        assert eager.report["bytes_sent"] == single_path_bytes(eager)
+        bounded = serve(replace(OPTIONS, max_admitted=1), service=custom)
+        assert canonical(bounded) == canonical(eager)
+
+
+def single_path_stream(count):
+    """A custom nginx stream: every request fetches the same document."""
+    return ["/index.html"] * count
+
+
+def single_path_bytes(result):
+    """Bytes a run of :func:`single_path_stream` must send."""
+    leaks = result.report["outcomes"].get("leak", 0)
+    return (OPTIONS.requests * DOCUMENT_TREE["/index.html"]
+            + leaks * (LEAK_BODY_SIZE + LEAK_EXTRA))
+
 
 class TestLazyStream:
     def test_tokens_match_eager_injection(self):
-        from repro.serving.services import inject_attacks, serving_registry
+        from repro.serving.services import inject_attacks
 
-        service = serving_registry()["nginx"]
-        eager = inject_attacks(service.stream(40), service.attack_token, 7)
-        stream = LazyRequestStream("nginx", 40, 6, attack_every=7,
+        eager = inject_attacks(NGINX.stream(40), NGINX.attack_token, 7)
+        stream = LazyRequestStream(NGINX, 40, 6, attack_every=7,
                                    max_admitted=2)
         lazy = [token for index in range(stream.n_batches)
                 for token in stream.batch(index)]
@@ -81,7 +106,7 @@ class TestLazyStream:
         assert len(stream) == len(eager)
 
     def test_backward_access_replays_deterministically(self):
-        stream = LazyRequestStream("nginx", 40, 6, attack_every=7,
+        stream = LazyRequestStream(NGINX, 40, 6, attack_every=7,
                                    max_admitted=1)
         forward = [stream.batch(index) for index in range(stream.n_batches)]
         assert stream.batch(0) == forward[0]  # evicted -> replay
@@ -89,7 +114,7 @@ class TestLazyStream:
         assert stream.batch(3) == forward[3]
 
     def test_pickle_roundtrip_drops_window_state(self):
-        stream = LazyRequestStream("nginx", 40, 6, attack_every=7,
+        stream = LazyRequestStream(NGINX, 40, 6, attack_every=7,
                                    max_admitted=2)
         stream.batch(2)
         clone = pickle.loads(pickle.dumps(stream))
@@ -98,4 +123,4 @@ class TestLazyStream:
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            LazyRequestStream("nginx", 10, 5, max_admitted=0)
+            LazyRequestStream(NGINX, 10, 5, max_admitted=0)
