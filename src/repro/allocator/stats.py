@@ -8,17 +8,21 @@ the reproduction can print the same table for the synthetic workloads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
+#: ``dataclass(slots=True)`` needs Python 3.10; 3.9 gets a plain one.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(slots=True)
+
+@dataclass(**_SLOTS)
 class AllocationStats:
     """Lifetime counters for one allocator instance.
 
-    ``slots=True``: both the interposer and the underlying allocator
-    update these counters on *every* heap call, so attribute access here
-    is hot-path work.
+    Slotted where the interpreter supports it: both the interposer and
+    the underlying allocator update these counters on *every* heap call,
+    so attribute access here is hot-path work.
     """
 
     malloc_calls: int = 0
