@@ -20,6 +20,10 @@ Unpatched buffers still pay interposition + metadata — that is the 4.3%
 "zero patches" bar of Figure 8 — while enhancement cost is confined to
 vulnerable contexts, which is the whole point of heap patches as
 configuration.
+
+Unpatched and overflow-only unaligned (Structure 2) buffers take integer
+run paths; ``plan_request``/``place_buffer``/``BufferMetadata`` lay out
+every other buffer and are those paths' oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from ..allocator.base import Allocator
 from ..allocator.stats import AllocationStats
 from ..common.fifo import FreedBlock, FreedBlockQueue
 from ..machine.errors import OutOfMemoryError
-from ..machine.layout import PAGE_SIZE, SIZE_MAX, is_power_of_two
+from ..machine.layout import PAGE_SHIFT, PAGE_SIZE, SIZE_MAX, is_power_of_two
 from ..machine.memory import PROT_NONE, PROT_RW
 from ..patch.model import HeapPatch
 from ..program.context import ContextSource, NullContextSource
@@ -47,6 +51,12 @@ _MAX_INLINE_SIZE = (1 << 48) - 1
 #: Bit position of the user-size field in the metadata word (Figure 6);
 #: for an unpatched, unaligned buffer the whole word is ``size << 4``.
 _METADATA_SIZE_SHIFT = 4
+
+#: Low nibble of a Structure 2 (overflow-only, unaligned) metadata word.
+_GUARD_TAG = int(VulnType.OVERFLOW)
+
+#: Structure 2's request beyond the user size (``plan_request``).
+_GUARD_SLACK = METADATA_SIZE + 2 * PAGE_SIZE - 1
 
 
 class _LookupView:
@@ -138,6 +148,11 @@ class DefendedAllocator(Allocator):
         if self.meter is not None:
             self.meter.charge(category, cycles)
 
+    def _protect(self, guard: int, prot: int) -> None:
+        """``mprotect`` one guard page, charged as defense work."""
+        self.memory.mprotect(guard, PAGE_SIZE, prot)
+        self._charge("defense", self.meter.model.mprotect if self.meter else 0)
+
     def _charge_interposition(self) -> None:
         if self.meter is not None:
             model = self.meter.model
@@ -188,16 +203,11 @@ class DefendedAllocator(Allocator):
             meter.charge("interpose", model.interpose * n)
             meter.charge("metadata", model.metadata * n)
             meter.charge("lookup", model.hash_lookup * n)
-        if not self._pure_ccid:
-            # The CCID read has observable effects; take it per entry.
-            return [self._allocate("malloc", size, _charged=True)
-                    for size in sizes]
-        patches = self._fun_patches.get("malloc")
-        if patches is None:
+        if (self._pure_ccid and 0 <= min(sizes)
+                and max(sizes) <= _MAX_INLINE_SIZE):
             patches = self._patches_for("malloc")
-        patch = patches.get(self._current_ccid()) if patches else None
-        if patch is None:
-            if 0 <= min(sizes) and max(sizes) <= _MAX_INLINE_SIZE:
+            patch = patches.get(self._current_ccid()) if patches else None
+            if patch is None:
                 # Whole-run fast path: one batched underlying request,
                 # then stamp the metadata words in one scattered write.
                 # Uniform runs (the request-batch shape) build their
@@ -214,20 +224,15 @@ class DefendedAllocator(Allocator):
                 self.memory.write_word_scatter(raws, stamps)
                 self.stats.record_malloc_run(sizes)
                 return [raw + METADATA_SIZE for raw in raws]
-            underlying_malloc = self._underlying_malloc
-            write_word = self._write_word
-            record = self._record_malloc
-            out = []
-            append = out.append
-            for size in sizes:
-                if not 0 <= size <= _MAX_INLINE_SIZE:
-                    append(self._allocate("malloc", size, _charged=True))
-                    continue
-                raw = underlying_malloc(METADATA_SIZE + size)
-                write_word(raw, size << _METADATA_SIZE_SHIFT)
-                record(size)
-                append(raw + METADATA_SIZE)
-            return out
+            if (patch.vuln == VulnType.OVERFLOW
+                    and self.memory.fault_injector is None):
+                # Structure 2 for the run; under a fault injector it
+                # goes per item, so faults land as in a scalar loop.
+                raws = self.underlying.malloc_run(
+                    [size + _GUARD_SLACK for size in sizes])
+                return self._guard_run("malloc", raws, sizes)
+        # Per entry: an impure CCID read (it has observable effects),
+        # sizes outside the inline range, and every other patch.
         return [self._allocate("malloc", size, _charged=True)
                 for size in sizes]
 
@@ -305,6 +310,10 @@ class DefendedAllocator(Allocator):
                                    size << _METADATA_SIZE_SHIFT)
             self.stats.record_alloc(fun, size)
             return user
+        if (patch is not None and patch.vuln == VulnType.OVERFLOW
+                and not (aligned or zero) and 0 <= size <= _MAX_INLINE_SIZE):
+            raw = self.underlying.malloc(size + _GUARD_SLACK)
+            return self._guard_run(fun, [raw], [size])[0]
 
         vuln = patch.vuln if patch is not None else VulnType.NONE
         plan = plan_request(vuln, aligned, alignment, size)
@@ -326,13 +335,9 @@ class DefendedAllocator(Allocator):
         self.memory.write_word(placed.metadata_address, metadata.encode())
 
         if placed.guard:
-            # User size lives in the guard page's first word, then the
-            # page is sealed.
-            self.memory.write_word(placed.guard, size)
-            self.memory.mprotect(placed.guard, PAGE_SIZE, PROT_NONE)
-            self._charge("defense", self.meter.model.mprotect
-                         if self.meter else 0)
-            self.enhanced_counts[VulnType.OVERFLOW] += 1
+            self._seal(fun, [raw], [placed.guard], [size])
+        else:
+            self.stats.record_alloc(fun, size)
         if zero or (vuln & VulnType.UNINIT_READ):
             if size:
                 self.memory.fill(placed.user, size, 0)
@@ -345,9 +350,40 @@ class DefendedAllocator(Allocator):
                 self.enhanced_counts[VulnType.UNINIT_READ] += 1
         if vuln & VulnType.USE_AFTER_FREE:
             self.enhanced_counts[VulnType.USE_AFTER_FREE] += 1
-
-        self.stats.record_alloc(fun, size)
         return placed.user
+
+    def _guard_run(self, fun: str, raws: List[int],
+                   sizes: Sequence[int]) -> List[int]:
+        """Structure 2 on raw chunks of ``size + _GUARD_SLACK`` bytes:
+        ``place_buffer`` and ``BufferMetadata.encode`` as arithmetic."""
+        users = [raw + METADATA_SIZE for raw in raws]
+        guards = [(user + size + PAGE_SIZE - 1) & -PAGE_SIZE
+                  for user, size in zip(users, sizes)]
+        self.memory.write_word_scatter(raws, [
+            _GUARD_TAG | (guard >> PAGE_SHIFT) << _METADATA_SIZE_SHIFT
+            for guard in guards])
+        self._seal(fun, raws, guards, sizes)
+        return users
+
+    def _seal(self, fun: str, raws: List[int], guards: List[int],
+              sizes: Sequence[int]) -> None:
+        """Store each size in its guard page, seal it, record the buffer;
+        a failed seal releases the unsealed chunks (runs are malloc)."""
+        self.memory.write_word_scatter(guards, sizes)
+        sealed = 0
+        try:
+            for guard in guards:
+                self._protect(guard, PROT_NONE)
+                sealed += 1
+        finally:
+            if sealed < len(raws):
+                self.underlying.free_run(raws[sealed:])
+            if sealed:
+                self.enhanced_counts[VulnType.OVERFLOW] += sealed
+                if fun == "malloc":
+                    self.stats.record_malloc_run(sizes[:sealed])
+                else:
+                    self.stats.record_alloc(fun, sizes[0])
 
     # ------------------------------------------------------------------
     # Deallocation (Figure 7)
@@ -362,9 +398,7 @@ class DefendedAllocator(Allocator):
         word = self.memory.read_word(user - METADATA_SIZE)
         metadata = BufferMetadata.decode(word)
         if metadata.has_guard:
-            self.memory.mprotect(metadata.guard_page, PAGE_SIZE, PROT_RW)
-            self._charge("defense", self.meter.model.mprotect
-                         if self.meter else 0)
+            self._protect(metadata.guard_page, PROT_RW)
             user_size = self.memory.read_word(metadata.guard_page)
         else:
             user_size = metadata.user_size
@@ -384,16 +418,35 @@ class DefendedAllocator(Allocator):
             self._record_free(word >> _METADATA_SIZE_SHIFT)
             self._underlying_free(address - METADATA_SIZE)
             return
+        if word & 0xF == _GUARD_TAG:
+            self._free_guarded([address - METADATA_SIZE], [word])
+            return
         self._free_decoded(address)
 
-    def _free_decoded(self, address: int) -> None:
+    def _free_guarded(self, raws: List[int], words: List[int]) -> None:
+        """Figure 7 for Structure 2 words: unseal each guard, gather the
+        sizes, release the chunks (on a failed unseal, the prefix)."""
+        guards = [word >> _METADATA_SIZE_SHIFT << PAGE_SHIFT for word in words]
+        unsealed = 0
+        try:
+            for guard in guards:
+                self._protect(guard, PROT_RW)
+                unsealed += 1
+        finally:
+            if unsealed:
+                self.stats.record_free_run(
+                    self.memory.read_word_gather(guards[:unsealed]))
+                self.underlying.free_run(raws[:unsealed])
+
+    def _free_decoded(self, address: int, decoded: Optional[
+            Tuple[BufferMetadata, int]] = None) -> None:
         """The decoding free path (guard unseal, quarantine, Figure 7).
 
         Interposition must already have been charged; shared by
         :meth:`free` and :meth:`free_run` for buffers whose metadata word
-        carries flags.
+        carries flags; :meth:`realloc` passes its own ``decoded``.
         """
-        metadata, user_size = self._read_metadata(address)
+        metadata, user_size = decoded or self._read_metadata(address)
         raw = buffer_start(address, metadata.aligned, metadata.alignment)
         if metadata.has_guard:
             region_size = metadata.guard_page + PAGE_SIZE - raw
@@ -420,37 +473,27 @@ class DefendedAllocator(Allocator):
             model = meter.model
             meter.charge("interpose", model.interpose * n)
             meter.charge("metadata", model.metadata * n)
-        live = [address for address in addresses if address]
-        words = self.memory.read_word_gather(
-            [address - METADATA_SIZE for address in live])
-        if not any(word & 0xF for word in words):
-            # All plain (the steady-state batch): release the whole run
-            # in one batched underlying call.
-            if live:
-                self.underlying.free_run(
-                    [address - METADATA_SIZE for address in live])
-                self.stats.record_free_run(
-                    [word >> _METADATA_SIZE_SHIFT for word in words])
-            return
-        raws: List[int] = []
-        append_raw = raws.append
-        usables: List[int] = []
-        append_usable = usables.append
-        for address, word in zip(live, words):
-            if not word & 0xF:
-                # Accumulate the whole fast-path run and release it in
-                # one batched underlying call.  Reordering plain frees
-                # after the decoding ones is unobservable: decoding
-                # frees never touch a live buffer's metadata word, and
-                # the underlying allocator sees the same multiset of
-                # releases from this one call site.
-                append_usable(word >> _METADATA_SIZE_SHIFT)
-                append_raw(address - METADATA_SIZE)
+        raws = [address - METADATA_SIZE for address in addresses if address]
+        words = self.memory.read_word_gather(raws)
+        # One partition: plain and Structure 2 words go out as a batch
+        # each, others decode in place.  Unobservable: no free touches a
+        # live buffer's word, and the underlying sees the same releases.
+        plain, sizes, guarded, guarded_words = [], [], [], []
+        for raw, word in zip(raws, words):
+            tag = word & 0xF
+            if not tag:
+                plain.append(raw)
+                sizes.append(word >> _METADATA_SIZE_SHIFT)
+            elif tag == _GUARD_TAG:
+                guarded.append(raw)
+                guarded_words.append(word)
             else:
-                self._free_decoded(address)
-        if raws:
-            self.underlying.free_run(raws)
-            self.stats.record_free_run(usables)
+                self._free_decoded(raw + METADATA_SIZE)
+        if guarded:
+            self._free_guarded(guarded, guarded_words)
+        if plain:
+            self.underlying.free_run(plain)
+            self.stats.record_free_run(sizes)
 
     # ------------------------------------------------------------------
     # Patch-table swap (read-mostly shared tables, copy-on-write)
@@ -494,12 +537,18 @@ class DefendedAllocator(Allocator):
             self.free(address)
             return 0
         self._charge_interposition()
-        _, old_size = self._read_metadata(address)
-        new_user = self._allocate("realloc", size)
+        decoded = metadata, old_size = self._read_metadata(address)
+        try:
+            new_user = self._allocate("realloc", size)
+        except Exception:
+            if metadata.has_guard:  # the old buffer stays live: reseal
+                self._protect(metadata.guard_page, PROT_NONE)
+            raise
         keep = min(old_size, size)
         if keep:
             self.memory.write(new_user, self.memory.read(address, keep))
-        self.free(address)
+        self._charge_interposition()  # free the old buffer
+        self._free_decoded(address, decoded)
         return new_user
 
     def malloc_usable_size(self, address: int) -> int:

@@ -8,16 +8,25 @@ drives a batched allocator and a scalar twin and compares observables.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.allocator.libc import LibcAllocator
 from repro.allocator.segregated import (
     MAX_CLASS,
     SegregatedAllocator,
 )
 from repro.defense.interpose import DefendedAllocator
+from repro.defense.metadata import METADATA_SIZE, BufferMetadata
 from repro.defense.patch_table import PatchTable
+from repro.defense.structures import place_buffer, plan_request
+from repro.fuzz.faults import FaultInjector
 from repro.machine import DoubleFree, InvalidFree, PAGE_SIZE
+from repro.machine.errors import MapError
+from repro.machine.memory import PROT_NONE
 from repro.patch.model import HeapPatch
 from repro.program.context import ContextSource
+from repro.program.cost import CycleMeter
 from repro.vulntypes import VulnType
 
 LARGE = MAX_CLASS + 1000
@@ -191,3 +200,225 @@ class TestDefendedRuns:
         batched.free_run([plain[0], guarded[0], plain[1], guarded[1],
                           plain[2], guarded[2], plain[3], plain[4]])
         assert batched.underlying.live_buffer_count == 0
+
+
+# ----------------------------------------------------------------------
+# Structure 2 run path: differential against scalar calls and the
+# plan_request / place_buffer / BufferMetadata oracle
+# ----------------------------------------------------------------------
+
+OVERFLOW = VulnType.OVERFLOW
+UAF = VulnType.USE_AFTER_FREE
+UNINIT = VulnType.UNINIT_READ
+#: CCIDs of the differential tests' contexts.
+RUN_CCID, UAF_CCID, PLAIN_CCID = 0x42, 0x43, 0x44
+
+
+class _PureContext(_FixedContext):
+    """A settable CCID read as a pure register read, so ``malloc_run``
+    hoists the patch probe and may take its run paths."""
+
+    pure_ccid = True
+
+
+def metered_twins(make_underlying, patches, context=_PureContext):
+    """Two defended allocators over fresh, deterministic memory."""
+    def make():
+        return DefendedAllocator(make_underlying(), PatchTable(patches),
+                                 context_source=context(RUN_CCID),
+                                 meter=CycleMeter())
+    return make(), make()
+
+
+def layout(allocator, users):
+    """Metadata words, guard size words and guard protections of live
+    buffers (guards are read with ``peek``: they are sealed)."""
+    memory = allocator.memory
+    words = [memory.read_word(user - METADATA_SIZE) for user in users]
+    guards = [BufferMetadata.decode(word).guard_page for word in words]
+    return (words,
+            [memory.peek(guard, 8) if guard else None for guard in guards],
+            [memory.protection_of(guard) if guard else None
+             for guard in guards])
+
+
+def state(allocator):
+    """Every allocator-level observable the run paths must preserve."""
+    return {
+        "mprotects": allocator.memory.mprotect_count,
+        "stats": allocator.stats.snapshot(),
+        "underlying": allocator.underlying.stats.snapshot(),
+        "live": allocator.underlying.live_buffer_count,
+        "enhanced": dict(allocator.enhanced_counts),
+        "quarantine": allocator.quarantine.blocks(),
+        "cycles": allocator.meter.snapshot(),
+    }
+
+
+def assert_matches_generic(make_underlying, sizes):
+    """A Structure 2 run against the generic machinery it replaces.
+
+    ``calloc`` under a calloc OVERFLOW patch lays the same Structure 2
+    out through ``plan_request``/``place_buffer``/``BufferMetadata``
+    (calloc zeroes natively, so no defense cost is added), and
+    ``_free_decoded`` is the generic Figure 7.  Only the entry-point
+    counters may differ.
+    """
+    run, generic = metered_twins(make_underlying, [
+        HeapPatch("malloc", RUN_CCID, OVERFLOW),
+        HeapPatch("calloc", RUN_CCID, OVERFLOW)])
+    users = run.malloc_run(sizes)
+    oracle = [generic.calloc(1, size) for size in sizes]
+    assert users == oracle
+    words, guard_words, protections = layout(run, users)
+    assert (words, guard_words, protections) == layout(generic, oracle)
+    for user, size, word in zip(users, sizes, words):
+        placed = place_buffer(plan_request(OVERFLOW, False, 0, size),
+                              user - METADATA_SIZE, size)
+        assert word == BufferMetadata(OVERFLOW, False, 0, placed.guard,
+                                      0).encode()
+    assert guard_words == [size.to_bytes(8, "little") for size in sizes]
+    assert protections == [PROT_NONE] * len(sizes)
+
+    def compare():
+        got, want = state(run), state(generic)
+        assert got["stats"].pop("malloc") == want["stats"].pop("calloc")
+        assert got["stats"].pop("calloc") == want["stats"].pop("malloc")
+        assert got == want
+
+    compare()
+    run.free_run(users)
+    for address in oracle:
+        generic._charge_interposition()  # what ``free`` charges first
+        generic._free_decoded(address)
+    compare()
+    assert run.meter.category("defense") == (
+        2 * len(sizes) * run.meter.model.mprotect)
+
+
+UNDERLYING = {"libc": LibcAllocator, "segregated": SegregatedAllocator}
+MASKS = [OVERFLOW, UAF, UNINIT, OVERFLOW | UAF, OVERFLOW | UNINIT,
+         UAF | UNINIT, OVERFLOW | UAF | UNINIT]
+ALIGNED_FUNS = ("memalign", "aligned_alloc", "posix_memalign")
+SIZE = st.integers(0, 3 * PAGE_SIZE)
+RUN = st.one_of(
+    st.tuples(SIZE, st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
+    st.lists(SIZE, min_size=1, max_size=12))
+
+
+class TestStructure2Runs:
+    @given(underlying=st.sampled_from(sorted(UNDERLYING)),
+           mask=st.sampled_from(MASKS), sizes=RUN,
+           aligned_fun=st.sampled_from(ALIGNED_FUNS),
+           aligned_mask=st.sampled_from([VulnType.NONE] + MASKS))
+    def test_run_matches_scalar_calls(self, underlying, mask, sizes,
+                                      aligned_fun, aligned_mask):
+        patches = [HeapPatch("malloc", RUN_CCID, mask)]
+        if aligned_mask:
+            patches.append(HeapPatch(aligned_fun, RUN_CCID, aligned_mask))
+        batched, scalar = metered_twins(UNDERLYING[underlying], patches)
+        got = batched.malloc_run(sizes)
+        want = [scalar.malloc(size) for size in sizes]
+        assert got == want
+        assert layout(batched, got) == layout(scalar, want)
+        assert state(batched) == state(scalar)
+        # A memalign-family buffer joins the free run (Structures 3/4
+        # decode in place); frees then compare like the allocations.
+        got.append(getattr(batched, aligned_fun)(64, 100))
+        want.append(getattr(scalar, aligned_fun)(64, 100))
+        assert got == want
+        batched.free_run(got)
+        for address in want:
+            scalar.free(address)
+        assert state(batched) == state(scalar)
+        # Same release order, same allocator state: the next run lands
+        # on the same addresses.
+        assert batched.malloc_run(sizes) == [scalar.malloc(size)
+                                             for size in sizes]
+
+    @given(underlying=st.sampled_from(sorted(UNDERLYING)), sizes=RUN)
+    def test_run_matches_the_generic_oracle(self, underlying, sizes):
+        assert_matches_generic(UNDERLYING[underlying], sizes)
+
+    @pytest.mark.parametrize("underlying", sorted(UNDERLYING))
+    def test_buffer_ending_on_a_page_boundary(self, underlying):
+        """A user buffer ending exactly on a page boundary gets the very
+        next page as its guard (``page_align_up`` is the identity)."""
+        make = UNDERLYING[underlying]
+        probe, _ = metered_twins(make, [HeapPatch("malloc", RUN_CCID,
+                                                  OVERFLOW)])
+        first = probe.malloc_run([1])[0]
+        size = -first % PAGE_SIZE or PAGE_SIZE
+        assert_matches_generic(make, [size] * 3)
+
+    @given(underlying=st.sampled_from(sorted(UNDERLYING)), sizes=RUN)
+    def test_impure_context_runs_per_item(self, underlying, sizes):
+        batched, scalar = metered_twins(
+            UNDERLYING[underlying], [HeapPatch("malloc", RUN_CCID, OVERFLOW)],
+            context=_FixedContext)
+        got = batched.malloc_run(sizes)
+        assert got == [scalar.malloc(size) for size in sizes]
+        assert state(batched) == state(scalar)
+
+    @given(underlying=st.sampled_from(sorted(UNDERLYING)),
+           data=st.data())
+    def test_mixed_free_run_matches_scalar_frees(self, underlying, data):
+        """Plain, Structure 2, UAF-quarantined and multi-flag buffers,
+        freed in one shuffled run: one partition loop, scalar results."""
+        patches = [HeapPatch("malloc", RUN_CCID, OVERFLOW),
+                   HeapPatch("malloc", UAF_CCID, UAF),
+                   HeapPatch("malloc", UAF_CCID + 10, OVERFLOW | UAF)]
+        batched, scalar = metered_twins(UNDERLYING[underlying], patches)
+        ccids = (RUN_CCID, UAF_CCID, UAF_CCID + 10, PLAIN_CCID)
+        runs = data.draw(st.lists(st.tuples(st.sampled_from(ccids), RUN),
+                                  min_size=1, max_size=4))
+        got, want = [], []
+        for ccid, sizes in runs:
+            batched.context_source.ccid = scalar.context_source.ccid = ccid
+            got += batched.malloc_run(sizes)
+            want += [scalar.malloc(size) for size in sizes]
+        assert got == want
+        order = data.draw(st.permutations(range(len(got))))
+        batched.free_run([got[i] for i in order] + [0])
+        for address in [want[i] for i in order] + [0]:
+            scalar.free(address)
+        assert state(batched) == state(scalar)
+        assert batched.stats.live_buffers == 0
+
+    @pytest.mark.parametrize("underlying", sorted(UNDERLYING))
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_seal_fault_lands_on_the_same_item(self, underlying, budget):
+        """Under an armed injector the run is served per item: it fails
+        at the same item, with the same typed error, leaving the same
+        allocator state as the scalar loop.  (Only the per-call charges
+        differ: a run charges interposition for all of its entries on
+        entry, the loop for the calls it got to.)"""
+        batched, scalar = metered_twins(
+            UNDERLYING[underlying], [HeapPatch("malloc", RUN_CCID, OVERFLOW)])
+        injectors = []
+        for allocator in (batched, scalar):
+            injector = FaultInjector({"mprotect": budget})
+            allocator.memory.fault_injector = injector
+            injectors.append(injector)
+        sizes = [100, 5000, 100, 100, 2 * PAGE_SIZE]
+        with pytest.raises(MapError) as run_error:
+            batched.malloc_run(sizes)
+        done = []
+        with pytest.raises(MapError) as loop_error:
+            for size in sizes:
+                done.append(scalar.malloc(size))
+        assert len(done) == budget
+        assert str(run_error.value) == str(loop_error.value)
+        run_state, loop_state = state(batched), state(scalar)
+        assert (run_state.pop("cycles").get("defense")
+                == loop_state.pop("cycles").get("defense"))
+        assert run_state == loop_state
+        assert batched.stats.live_buffers == budget
+        assert batched.underlying.live_buffer_count == budget
+        assert injectors[0].passed == injectors[1].passed
+        assert injectors[0].injected == injectors[1].injected
+        for injector in injectors:
+            injector.disarm()
+        assert batched.malloc_run(sizes) == [scalar.malloc(size)
+                                             for size in sizes]
+        assert layout(batched, done) == layout(scalar, done)

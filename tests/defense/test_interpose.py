@@ -7,7 +7,7 @@ from repro.allocator.libc import LibcAllocator
 from repro.defense.interpose import DefendedAllocator
 from repro.defense.metadata import METADATA_SIZE, BufferMetadata
 from repro.defense.patch_table import PatchTable
-from repro.machine.errors import SegmentationFault
+from repro.machine.errors import OutOfMemoryError, SegmentationFault
 from repro.machine.layout import PAGE_SIZE
 from repro.machine.memory import PROT_NONE
 from repro.patch.model import HeapPatch
@@ -255,6 +255,37 @@ class TestRealloc:
         meta = BufferMetadata.decode(
             allocator.memory.read_word(grown - METADATA_SIZE))
         assert not meta.has_guard
+
+    def test_failed_realloc_keeps_the_guard_sealed(self):
+        """The old buffer stays live when the new allocation fails, so
+        its guard must still be sealed afterwards."""
+        patches = [HeapPatch("malloc", 0x3, VulnType.OVERFLOW)]
+        allocator, _, context = defended(patches, ccid=0x3)
+        address = allocator.malloc(64)
+        guard = BufferMetadata.decode(allocator.memory.read_word(
+            address - METADATA_SIZE)).guard_page
+        context.ccid = 0
+        with pytest.raises(OutOfMemoryError):
+            allocator.realloc(address, 1 << 60)
+        assert allocator.memory.protection_of(guard) == PROT_NONE
+        with pytest.raises(SegmentationFault):
+            allocator.memory.write(address + 64, b"X" * PAGE_SIZE)
+        assert allocator.malloc_usable_size(address) == 64
+
+    def test_guarded_realloc_unseals_once(self):
+        patches = [HeapPatch("malloc", 0x3, VulnType.OVERFLOW)]
+        meter = CycleMeter()
+        allocator, underlying, context = defended(patches, ccid=0x3,
+                                                  meter=meter)
+        address = allocator.malloc(64)
+        context.ccid = 0  # realloc context is not patched
+        mprotects = allocator.memory.mprotect_count
+        defense = meter.category("defense")
+        allocator.realloc(address, 256)
+        assert allocator.memory.mprotect_count == mprotects + 1
+        assert meter.category("defense") - defense == meter.model.mprotect
+        assert underlying.live_buffer_count == 1
+        assert allocator.stats.live_buffers == 1
 
     def test_realloc_lookup_uses_realloc_fun(self):
         patches = [HeapPatch("realloc", 0x4, VulnType.UNINIT_READ)]

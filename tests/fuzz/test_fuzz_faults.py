@@ -160,6 +160,26 @@ class TestAllocatorDegradation:
         defended.free(ptr)
         underlying.check_consistency()
 
+    @pytest.mark.parametrize("allocate", [
+        lambda defended: defended.malloc(64),            # Structure 2
+        lambda defended: defended.malloc_run([64] * 3),  # a run of them
+        lambda defended: defended.calloc(4, 16),         # generic path
+        lambda defended: defended.memalign(64, 64),      # Structure 4
+    ], ids=["malloc", "malloc_run", "calloc", "memalign"])
+    def test_failed_guard_seal_releases_the_chunk(self, allocate):
+        underlying = LibcAllocator()
+        table = PatchTable([HeapPatch(fun, 0, VulnType.OVERFLOW)
+                            for fun in ("malloc", "calloc", "memalign")])
+        defended = DefendedAllocator(underlying, table)
+        underlying.memory.fault_injector = exhaust_after("mprotect", 0)
+        for _ in range(3):  # each retry used to leak one more chunk
+            with pytest.raises(MapError, match="injected"):
+                allocate(defended)
+        assert underlying.live_buffer_count == 0
+        assert defended.stats.live_buffers == 0
+        assert defended.enhanced_counts[VulnType.OVERFLOW] == 0
+        underlying.check_consistency()
+
     def test_quarantine_pressure_stays_consistent(self):
         underlying = LibcAllocator()
         table = PatchTable(
