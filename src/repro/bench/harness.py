@@ -1117,24 +1117,8 @@ def run_bench(suites: str = "all", scale: float = 1.0, repeat: int = 3,
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``benchmarks/harness.py``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="substrate/service perf-regression harness")
-    add_bench_arguments(parser)
-    args = parser.parse_args(argv)
-    return run_bench(suites=args.suite, scale=args.scale,
-                     repeat=args.repeat, out_dir=args.out_dir,
-                     baseline=args.baseline,
-                     max_regression_pct=args.max_regression,
-                     profile=args.profile,
-                     verify_equivalence=args.verify_equivalence)
-
-
 def add_bench_arguments(parser: Any) -> None:
-    """Shared flag definitions for the CLI subcommand and the script."""
+    """Flag definitions of the ``repro bench`` subcommand."""
     parser.add_argument("--suite", default="all",
                         choices=("all", "substrate", "services",
                                  "serving", "diagnosis", "fuzz", "layout",
@@ -1164,6 +1148,3 @@ def add_bench_arguments(parser: Any) -> None:
                              "per-op (fast_paths=False validator) and "
                              "fail if any simulated observable differs")
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised as a script
-    sys.exit(main())

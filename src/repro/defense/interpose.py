@@ -478,6 +478,9 @@ class DefendedAllocator(Allocator):
         # One partition: plain and Structure 2 words go out as a batch
         # each, others decode in place.  Unobservable: no free touches a
         # live buffer's word, and the underlying sees the same releases.
+        # A decoded free can release a chunk itself (or evict one from
+        # the quarantine), so the batches gathered so far go out first:
+        # the underlying then sees every release in run order.
         plain, sizes, guarded, guarded_words = [], [], [], []
         for raw, word in zip(raws, words):
             tag = word & 0xF
@@ -488,7 +491,15 @@ class DefendedAllocator(Allocator):
                 guarded.append(raw)
                 guarded_words.append(word)
             else:
+                self._flush_frees(plain, sizes, guarded, guarded_words)
+                plain, sizes, guarded, guarded_words = [], [], [], []
                 self._free_decoded(raw + METADATA_SIZE)
+        self._flush_frees(plain, sizes, guarded, guarded_words)
+
+    def _flush_frees(self, plain: List[int], sizes: List[int],
+                     guarded: List[int], guarded_words: List[int]) -> None:
+        """Release :meth:`free_run`'s pending Structure 2 and plain
+        batches (either may be empty)."""
         if guarded:
             self._free_guarded(guarded, guarded_words)
         if plain:

@@ -14,19 +14,21 @@ pre-computed against a :class:`~repro.program.cost.CostModel` (both the
 block total and the running prefix sums, so a faulting block can charge
 exactly what the per-instruction path would have).  The process dispatches
 the whole run with one call — ``process.exec_block(block, *args)`` — and
-the monitor executes it:
+the monitor executes it.  There are two executors:
 
-* :meth:`ExecutionMonitor.exec_block` (the generic default) loops over the
-  block calling the ordinary per-op monitor methods, so interpreting
-  monitors (the shadow analyzer) observe exactly the per-instruction
-  stream and need no changes;
-* :meth:`DirectMonitor.exec_block` overrides it with a fused loop: one
-  batched cycle charge, direct word-view memory traffic, no
-  :class:`~repro.program.values.TaggedValue` boxing.
+* :meth:`BasicBlock.interpret` issues one ordinary ``Process`` call per
+  op.  It is the reference, the path under a lock-step scheduler, and
+  what :meth:`ExecutionMonitor.exec_block` (the generic default) runs, so
+  interpreting monitors (the shadow analyzer) observe exactly the
+  per-instruction stream and need no changes;
+* :meth:`DirectMonitor.exec_block_run` is the fused executor over a run
+  of argument rows: one batched cycle charge, direct word-view memory
+  traffic, no :class:`~repro.program.values.TaggedValue` boxing.  A
+  single ``exec_block`` is a one-row run.
 
 Equivalence obligations (enforced by
 ``tests/program/test_block_equivalence.py``): for any block and argument
-vector, batched execution must produce the same memory contents, the same
+vector, fused execution must produce the same memory contents, the same
 outputs, the same cycle totals per category, and — when an op faults — the
 same first faulting address with the same cycles consumed as issuing the
 ops one by one.  Blocks never contain heap calls or control flow; those
@@ -112,7 +114,7 @@ class BasicBlock:
         self.n_args = n_args
         self.instructions = instructions if instructions > 0 else len(ops)
         # COMPUTE ops are pure cycle charges: under batched charging the
-        # fused executors have nothing to do for them, so they iterate
+        # fused executor has nothing to do for them, so it iterates
         # this pre-filtered view.  The original op index rides along to
         # keep fault accounting (``cum_cycles[i]``) exact.
         self.run_ops = tuple((i, op) for i, op in enumerate(self.ops)
@@ -128,10 +130,11 @@ class BasicBlock:
     def interpret(self, process: Any, args: Sequence[int]) -> List[Any]:
         """Run the block through the ordinary per-op ``Process`` methods.
 
-        This is the batched path's semantic reference (and the path taken
-        under a lock-step scheduler, where every op must remain a
-        preemption point).  Returns the block's outputs: one entry per
-        USE / SYSCALL_OUT op, in op order.
+        This is the fused path's semantic reference, the path taken under
+        a lock-step scheduler (where every op must remain a preemption
+        point) and the generic ``ExecutionMonitor.exec_block``.  Returns
+        the block's outputs: one entry per USE / SYSCALL_OUT op, in op
+        order.
         """
         regs: List[Any] = [None] * self.nslots
         out: List[Any] = []

@@ -15,6 +15,13 @@ the three deployment modes of HeapTherapy+:
 
 The monitor is bound to its process after construction (:meth:`bind`), so
 the shadow analyzer can ask the process for the current calling context.
+
+Basic blocks (:mod:`repro.program.blocks`) run one of two ways.  The
+default :meth:`ExecutionMonitor.exec_block` is
+:meth:`~repro.program.blocks.BasicBlock.interpret` on the bound process,
+so an interpreting monitor sees every op.  :class:`DirectMonitor` runs
+them through its one fused executor, :meth:`DirectMonitor.exec_block_run`;
+a single block is a one-row run.
 """
 
 from __future__ import annotations
@@ -26,13 +33,11 @@ from ..allocator.base import Allocator
 from ..machine.errors import SegmentationFault
 from ..machine.memory import VirtualMemory
 from .blocks import (
-    OP_COMPUTE,
     OP_COPY,
     OP_FILL,
     OP_READ,
     OP_READ_W,
     OP_SENDFILE,
-    OP_SYSCALL_IN,
     OP_SYSCALL_OUT,
     OP_USE,
     OP_USE_W,
@@ -146,46 +151,15 @@ class ExecutionMonitor(abc.ABC):
                    args: Sequence[int]) -> List[Any]:
         """Execute a pre-decoded straight-line block.
 
-        The generic implementation replays the block through the per-op
-        monitor methods above, so any monitor (the shadow analyzer
-        included) observes exactly the stream the per-instruction path
-        would have produced.  :class:`DirectMonitor` overrides this with
-        a fused loop.  Returns the block outputs (one per USE /
-        SYSCALL_OUT op, in op order).
+        The generic implementation is the block's per-op reference,
+        :meth:`BasicBlock.interpret`, on the bound process: every op
+        reaches the per-op monitor methods above, so any monitor (the
+        shadow analyzer included) observes exactly the stream the
+        per-instruction path would have produced.  :class:`DirectMonitor`
+        overrides this with its fused executor.  Returns the block
+        outputs (one per USE / SYSCALL_OUT op, in op order).
         """
-        regs: List[Any] = [None] * block.nslots
-        out: List[Any] = []
-        for op in block.ops:
-            code = op[0]
-            if code == OP_READ_W:
-                regs[op[3]] = self.read(args[op[1]] + op[2], 8)
-            elif code == OP_USE_W or code == OP_USE:
-                value = regs[op[1]]
-                self.use(value, op[2])
-                out.append(value.to_int())
-            elif code == OP_WRITE_ARG_W:
-                self.write(args[op[1]] + op[2],
-                           TaggedValue.of_int(args[op[3]], 8))
-            elif (code == OP_WRITE_IMM or code == OP_WRITE_IMM_W
-                  or code == OP_WRITE_IMM_PAIR):
-                self.write(args[op[1]] + op[2], op[3])
-            elif code == OP_COMPUTE:
-                self.compute(op[1])
-            elif code == OP_FILL:
-                self.fill(args[op[1]] + op[2], op[3], op[4])
-            elif code == OP_READ:
-                regs[op[4]] = self.read(args[op[1]] + op[2], op[3])
-            elif code == OP_WRITE_REG_W or code == OP_WRITE_REG:
-                self.write(args[op[1]] + op[2], regs[op[3]])
-            elif code == OP_COPY:
-                self.copy(args[op[1]] + op[2], args[op[3]] + op[4], op[5])
-            elif code == OP_SYSCALL_OUT:
-                out.append(self.syscall_out(args[op[1]] + op[2], op[3]))
-            elif code == OP_SENDFILE:
-                out.append(self.sendfile(args[op[1]] + op[2], op[3]))
-            else:  # OP_SYSCALL_IN
-                self.syscall_in(args[op[1]] + op[2], op[3])
-        return out
+        return block.interpret(self.process, args)
 
     def exec_block_run(self, block: BasicBlock,
                        rows: Sequence[Sequence[int]]) -> List[List[Any]]:
@@ -290,91 +264,34 @@ class DirectMonitor(ExecutionMonitor):
 
     def exec_block(self, block: BasicBlock,
                    args: Sequence[int]) -> List[Any]:
-        """Fused block execution: one cycle charge, direct memory ops.
-
-        Observation-identical to the generic per-op replay: same memory
-        effects (word stores fall back to byte stores exactly where the
-        per-op path would), same outputs, same cycles per category.  On a
-        fault the up-front batched charge is adjusted down to what the
-        per-op path would have charged by the time op ``i`` faulted.
-        """
-        if block.model is not self.meter.model:
-            # The block's pre-computed charges belong to another cost
-            # model; replay per-op so the right model is consulted.
-            return ExecutionMonitor.exec_block(self, block, args)
-        self._charge("base", block.base_cycles)
-        memory = self.memory
-        read_word = memory.read_word
-        write_word = memory.write_word
-        regs: List[Any] = [0] * block.nslots
-        out: List[Any] = []
-        index = 0
-        try:
-            # COMPUTE ops are pre-filtered out of run_ops (their cycles
-            # are in the up-front charge); the chain is ordered by op
-            # frequency in the serving workloads.
-            for index, op in block.run_ops:
-                code = op[0]
-                if code == OP_COPY:
-                    memory.write(args[op[1]] + op[2],
-                                 memory.read(args[op[3]] + op[4], op[5]))
-                elif code == OP_SENDFILE:
-                    memory.check_read(args[op[1]] + op[2], op[3])
-                    out.append(op[3])
-                elif code == OP_FILL:
-                    memory.fill(args[op[1]] + op[2], op[3], op[4])
-                elif code == OP_SYSCALL_OUT:
-                    out.append(memory.read(args[op[1]] + op[2], op[3]))
-                elif code == OP_READ:
-                    regs[op[4]] = memory.read(args[op[1]] + op[2], op[3])
-                elif code == OP_WRITE_IMM:
-                    memory.write(args[op[1]] + op[2], op[4])
-                elif code == OP_READ_W:
-                    regs[op[3]] = read_word(args[op[1]] + op[2])
-                elif code == OP_USE_W:
-                    out.append(regs[op[1]])
-                elif code == OP_WRITE_ARG_W:
-                    write_word(args[op[1]] + op[2], args[op[3]])
-                elif code == OP_WRITE_IMM_W:
-                    write_word(args[op[1]] + op[2], op[4])
-                elif code == OP_WRITE_IMM_PAIR:
-                    memory.write_word_pair(args[op[1]] + op[2], op[4],
-                                           op[5])
-                elif code == OP_WRITE_REG_W:
-                    write_word(args[op[1]] + op[2], regs[op[3]])
-                elif code == OP_WRITE_REG:
-                    memory.write(args[op[1]] + op[2], regs[op[3]])
-                elif code == OP_USE:
-                    out.append(int.from_bytes(regs[op[1]], "little"))
-                else:  # OP_SYSCALL_IN
-                    memory.write(args[op[1]] + op[2], op[3])
-        except SegmentationFault:
-            # Per-op dispatch charges before each access: by the time op
-            # ``index`` faulted it had charged cum_cycles[index].
-            self._charge("base",
-                         block.cum_cycles[index] - block.base_cycles)
-            raise
-        return out
+        """Fused block execution: a one-row :meth:`exec_block_run`."""
+        return self.exec_block_run(block, (args,))[0]
 
     def exec_block_run(self, block: BasicBlock,
                        rows: Sequence[Sequence[int]]) -> List[List[Any]]:
-        """Fused batch execution: one charge for the whole row run.
+        """Fused block execution: one cycle charge, direct memory ops.
 
-        Observation-identical to ``exec_block`` per row: the ``n``
-        per-row charges collapse into one ``n``-scaled charge, and on a
-        fault in row ``r`` the up-front charge is adjusted to what the
-        per-row path would have accumulated (``r`` full blocks plus the
-        faulting row's per-op prefix).
+        Observation-identical to :meth:`BasicBlock.interpret` per row:
+        same memory effects (word stores fall back to byte stores exactly
+        where the per-op path would), same outputs, same cycles per
+        category.  The ``n`` per-row charges collapse into one
+        ``n``-scaled charge up front; on a fault in row ``r`` it is
+        adjusted down to what the per-op path would have charged by then
+        (``r`` full blocks plus the faulting row's per-op prefix).
         """
         n = len(rows)
         if n == 0:
             return []
         if block.model is not self.meter.model:
-            exec_block = ExecutionMonitor.exec_block
-            return [exec_block(self, block, row) for row in rows]
+            # The block's pre-computed charges belong to another cost
+            # model; interpret per op so the meter's model is consulted.
+            process = self.process
+            return [block.interpret(process, row) for row in rows]
         base_cycles = block.base_cycles
         self._charge("base", base_cycles * n)
         memory = self.memory
+        read_word = memory.read_word
+        write_word = memory.write_word
         run_ops = block.run_ops
         nslots = block.nslots
         results: List[List[Any]] = []
@@ -384,8 +301,9 @@ class DirectMonitor(ExecutionMonitor):
             for row in rows:
                 regs: List[Any] = [0] * nslots
                 out: List[Any] = []
-                # Same pre-filtered, frequency-ordered chain as
-                # ``exec_block`` above.
+                # COMPUTE ops are pre-filtered out of run_ops (their
+                # cycles are in the up-front charge); the chain is
+                # ordered by op frequency in the serving workloads.
                 for index, op in run_ops:
                     code = op[0]
                     if code == OP_COPY:
@@ -406,19 +324,18 @@ class DirectMonitor(ExecutionMonitor):
                     elif code == OP_WRITE_IMM:
                         memory.write(row[op[1]] + op[2], op[4])
                     elif code == OP_READ_W:
-                        regs[op[3]] = memory.read_word(row[op[1]] + op[2])
+                        regs[op[3]] = read_word(row[op[1]] + op[2])
                     elif code == OP_USE_W:
                         out.append(regs[op[1]])
                     elif code == OP_WRITE_ARG_W:
-                        memory.write_word(row[op[1]] + op[2], row[op[3]])
+                        write_word(row[op[1]] + op[2], row[op[3]])
                     elif code == OP_WRITE_IMM_W:
-                        memory.write_word(row[op[1]] + op[2], op[4])
+                        write_word(row[op[1]] + op[2], op[4])
                     elif code == OP_WRITE_IMM_PAIR:
                         memory.write_word_pair(row[op[1]] + op[2], op[4],
                                                op[5])
                     elif code == OP_WRITE_REG_W:
-                        memory.write_word(row[op[1]] + op[2],
-                                          regs[op[3]])
+                        write_word(row[op[1]] + op[2], regs[op[3]])
                     elif code == OP_WRITE_REG:
                         memory.write(row[op[1]] + op[2], regs[op[3]])
                     elif code == OP_USE:
@@ -434,4 +351,3 @@ class DirectMonitor(ExecutionMonitor):
                          - base_cycles * (n - completed))
             raise
         return results
-

@@ -201,6 +201,29 @@ class TestDefendedRuns:
                           plain[2], guarded[2], plain[3], plain[4]])
         assert batched.underlying.live_buffer_count == 0
 
+    def test_quarantine_eviction_keeps_release_order(self):
+        """A decoded (UAF) free that evicts from the quarantine releases
+        the evicted chunk after the plain buffers freed before it in the
+        run, exactly as scalar frees do: the next allocations land on
+        the same addresses."""
+        table = PatchTable([HeapPatch("malloc", 7, VulnType.USE_AFTER_FREE)])
+        nexts = []
+        for batched in (True, False):
+            allocator = DefendedAllocator(SegregatedAllocator(), table,
+                                          context_source=_FixedContext(7),
+                                          quarantine_quota=64)
+            evicted, uaf = allocator.malloc(40), allocator.malloc(40)
+            allocator.context_source.ccid = 0
+            plain = allocator.malloc(40)
+            allocator.free(evicted)
+            if batched:
+                allocator.free_run([plain, uaf])
+            else:
+                allocator.free(plain)
+                allocator.free(uaf)
+            nexts.append([allocator.malloc(40) for _ in range(3)])
+        assert nexts[0] == nexts[1]
+
 
 # ----------------------------------------------------------------------
 # Structure 2 run path: differential against scalar calls and the

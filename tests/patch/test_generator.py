@@ -8,8 +8,12 @@ from repro.patch.generator import OfflinePatchGenerator
 from repro.program.callgraph import CallGraph
 from repro.program.process import Process
 from repro.program.program import Program
+from repro.serving.services import nginx_body_patch
 from repro.shadow.report import AnalysisReport, BufferRecord, ShadowWarning
 from repro.vulntypes import VulnType
+from repro.workloads.services.nginx import (LEAK_BODY_SIZE, LEAK_EXTRA,
+                                            LEAK_REQUEST, NginxServer,
+                                            request_stream)
 from repro.workloads.vulnerable import HeartbleedService
 
 
@@ -76,6 +80,42 @@ class TestReplay:
         result = generator.replay()
         assert result.crashed is not None
         assert result.detected
+
+
+class _ServeMain:
+    """Runs nginx's batched entry point as the program's ``main``."""
+
+    def __init__(self, server):
+        self.server = server
+        self.graph = server.graph
+
+    def main(self, p, requests):
+        return self.server.serve_main(p, requests)
+
+
+class TestBlockGuestReplay:
+    """Shadow analysis of a guest that runs its requests as basic blocks
+    (``exec_block`` / ``exec_block_run``): the analyzer inherits the
+    generic block path, so it sees every op of every request."""
+
+    def test_nginx_leak_request_among_benign_requests(self):
+        server = NginxServer()
+        generator = generator_for(_ServeMain(server))
+        benign = request_stream(16)
+        requests = benign[:8] + [LEAK_REQUEST] + benign[8:]
+        result = generator.replay(requests)
+        assert result.crashed is None
+        [patch] = result.patches
+        expected = nginx_body_patch(server, generator.codec)
+        assert (patch.fun, patch.ccid) == (expected.fun, expected.ccid)
+        # The real diagnosis also flags the body's uninitialized tail,
+        # which the hand-built serving patch leaves out.
+        assert patch.vuln == VulnType.OVERFLOW | VulnType.UNINIT_READ
+        outcomes = result.program_result["outcomes"]
+        assert outcomes[8] == ("leak", LEAK_BODY_SIZE + LEAK_EXTRA) \
+            == ("leak", 4216)
+        assert all(status == "ok" for status, _ in
+                   outcomes[:8] + outcomes[9:])
 
 
 class TestReportPostprocessing:

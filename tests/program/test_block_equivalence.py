@@ -1,14 +1,17 @@
 """Observation equivalence of basic-block batched execution.
 
-The substrate executes straight-line op runs three ways:
+The substrate has two block executors, reached three ways:
 
 1. the per-instruction reference — ``BasicBlock.interpret`` issuing one
    ``Process`` method call per op (also the path under a lock-step
    scheduler),
-2. the generic monitor replay — ``ExecutionMonitor.exec_block`` calling
-   the ordinary per-op monitor methods, and
-3. the fused fast path — ``DirectMonitor.exec_block`` with one batched
-   cycle charge and direct word-view memory traffic.
+2. the generic monitor path — ``process.exec_block`` on a monitor that
+   inherits ``ExecutionMonitor.exec_block``, which interprets the block
+   through the ordinary per-op monitor methods (the shadow analyzer's
+   path), and
+3. the fused fast path — ``process.exec_block`` on a ``DirectMonitor``,
+   a one-row ``exec_block_run`` with one batched cycle charge and
+   direct word-view memory traffic.
 
 The module docstrings of ``repro.program.blocks`` and
 ``repro.program.monitor`` promise these are observationally identical:
@@ -16,7 +19,9 @@ same memory contents, same outputs, same cycle totals per category, and
 on a fault the same first faulting address with the same cycles
 consumed.  Hypothesis generates arbitrary blocks and this suite holds
 all three paths to that promise, plus allocator-trace and
-attack-outcome equivalence for block-using guest programs.
+attack-outcome equivalence for block-using guest programs, row runs
+with a faulting row, and the fused executor's fallback for blocks built
+under another cost model.
 """
 
 import pytest
@@ -31,7 +36,8 @@ from repro.patch.model import HeapPatch
 from repro.program.blocks import BlockBuilder, BlockError
 from repro.program.callgraph import CallGraph
 from repro.program.context import ContextSource
-from repro.program.monitor import ExecutionMonitor
+from repro.program.cost import DEFAULT_COST_MODEL, CostModel, CycleMeter
+from repro.program.monitor import DirectMonitor, ExecutionMonitor
 from repro.program.process import Process
 from repro.vulntypes import VulnType
 
@@ -45,12 +51,24 @@ SIZES = (1, 2, 3, 4, 8, 12, 16, 24, 32)
 EXTRA_ARG = 0x1122334455
 
 
-def make_process(heap=None):
+#: DirectMonitor's per-op methods under the block methods every monitor
+#: inherits from ExecutionMonitor: the generic block path.
+GenericMonitor = type("GenericMonitor", (ExecutionMonitor,), {
+    name: DirectMonitor.__dict__[name]
+    for name in ("__init__", "heap_alloc", "heap_free", "compute", "read",
+                 "write", "copy", "fill", "use", "syscall_out",
+                 "syscall_in", "sendfile")})
+
+
+def make_process(heap=None, monitor_cls=DirectMonitor):
     graph = CallGraph()
     for label in ("a", "b", "loop", "victim"):
         graph.add_call_site("main", "malloc", label)
     graph.add_call_site("main", "free")
-    return Process(graph, heap=heap or LibcAllocator())
+    heap = heap or LibcAllocator()
+    meter = CycleMeter()
+    return Process(graph, monitor=monitor_cls(heap.memory, heap, meter),
+                   meter=meter)
 
 
 class _Main:
@@ -119,8 +137,8 @@ def block_descriptors(draw):
     return descriptors
 
 
-def build_block(descriptors):
-    builder = BlockBuilder()
+def build_block(descriptors, model=DEFAULT_COST_MODEL):
+    builder = BlockBuilder(model)
     slots = []
     for d in descriptors:
         kind = d[0]
@@ -159,23 +177,21 @@ def run_reference(process, block, args):
     return block.interpret(process, args)
 
 
-def run_generic(process, block, args):
-    # Explicitly bypass DirectMonitor's fused override: the generic
-    # per-op replay every interpreting monitor inherits.
-    return ExecutionMonitor.exec_block(process.monitor, block, args)
-
-
-def run_fused(process, block, args):
+def run_block(process, block, args):
     return process.exec_block(block, *args)
 
 
-PATHS = (run_reference, run_generic, run_fused)
+#: (monitor class, runner) per path.
+PATHS = ((DirectMonitor, run_reference), (GenericMonitor, run_block),
+         (DirectMonitor, run_block))
 PATH_IDS = ("interpret", "generic", "fused")
 
 
-def observe(runner, block, heap_factory=None):
+def observe(path, block, heap_factory=None):
     """Run ``block`` on a fresh process; return every observable."""
-    process = make_process(heap_factory() if heap_factory else None)
+    monitor_cls, runner = path
+    process = make_process(heap_factory() if heap_factory else None,
+                           monitor_cls)
 
     def body(p):
         buf0 = p.malloc(BUF, site="a")
@@ -202,7 +218,7 @@ class TestBlockEquivalence:
     @given(block_descriptors())
     def test_three_paths_agree(self, descriptors):
         block = build_block(descriptors)
-        reference, generic, fused = (observe(r, block) for r in PATHS)
+        reference, generic, fused = (observe(path, block) for path in PATHS)
         assert reference["addresses"] == generic["addresses"] \
             == fused["addresses"]
         assert reference["outputs"] == generic["outputs"] \
@@ -221,7 +237,8 @@ class TestBlockEquivalence:
         def heap():
             return DefendedAllocator(LibcAllocator(), PatchTable.empty())
 
-        results = [observe(r, block, heap_factory=heap) for r in PATHS]
+        results = [observe(path, block, heap_factory=heap)
+                   for path in PATHS]
         first = results[0]
         for other in results[1:]:
             assert other == first
@@ -266,8 +283,8 @@ class TestFaultEquivalence:
     def test_same_fault_same_cycles_same_memory(self, read_fault):
         block = faulting_block(read_fault)
         observations = []
-        for runner in PATHS:
-            process = make_process()
+        for monitor_cls, runner in PATHS:
+            process = make_process(monitor_cls=monitor_cls)
             state = {}
 
             def body(p):
@@ -303,8 +320,8 @@ class TestFaultEquivalence:
         fb.read(0, 0, 8)
         fault_block = fb.build()
         observations = []
-        for runner in PATHS:
-            process = make_process()
+        for monitor_cls, runner in PATHS:
+            process = make_process(monitor_cls=monitor_cls)
 
             def body(p):
                 buf0 = p.malloc(BUF, site="a")
@@ -319,6 +336,93 @@ class TestFaultEquivalence:
                 "meter": process.meter.snapshot(),
             })
         assert observations[0] == observations[1] == observations[2]
+
+
+# ---------------------------------------------------------------------------
+# Row runs and the fused executor's cost-model fallback
+# ---------------------------------------------------------------------------
+
+#: A cost model whose memory charges differ from the default's: blocks
+#: built under it make DirectMonitor fall back to interpreting per op.
+OTHER_MODEL = CostModel(mem_word=3, mem_op=5)
+
+ROWS = 3
+
+
+def interpret_rows(process, block, rows):
+    return [block.interpret(process, row) for row in rows]
+
+
+def exec_block_rows(process, block, rows):
+    return [process.exec_block(block, *row) for row in rows]
+
+
+def exec_block_run(process, block, rows):
+    return process.exec_block_run(block, rows)
+
+
+#: (monitor class, row runner) per path; the first is the reference.
+ROW_PATHS = ((DirectMonitor, interpret_rows),
+             (DirectMonitor, exec_block_rows),
+             (DirectMonitor, exec_block_run),
+             (GenericMonitor, exec_block_run))
+
+
+def observe_rows(path, block, fault_row=None):
+    """Run ``block`` over :data:`ROWS` argument rows on a fresh process;
+    row ``fault_row``'s first argument points at unmapped memory."""
+    monitor_cls, runner = path
+    process = make_process(monitor_cls=monitor_cls)
+    state = {"outputs": None, "fault": None}
+
+    def body(p):
+        bufs = state["bufs"] = [p.malloc(BUF, site="a")
+                                for _ in range(2 * ROWS)]
+        rows = [(bufs[2 * r] + (1 << 40 if r == fault_row else 0),
+                 bufs[2 * r + 1], EXTRA_ARG) for r in range(ROWS)]
+        state["outputs"] = [normalize(out)
+                            for out in runner(p, block, rows)]
+
+    try:
+        run_in_main(process, body)
+    except SegmentationFault as fault:
+        state["fault"] = (fault.address, fault.access, fault.size)
+    memory = process.monitor.memory
+    state["mem"] = [bytes(memory.read(buf, BUF)) for buf in state["bufs"]]
+    state["meter"] = process.meter.snapshot()
+    return state
+
+
+class TestRowRuns:
+    @settings(max_examples=40, deadline=None)
+    @given(block_descriptors(),
+           st.sampled_from([DEFAULT_COST_MODEL, OTHER_MODEL]),
+           st.sampled_from([None, 0, 1, ROWS - 1]))
+    def test_every_path_matches_interpret(self, descriptors, model,
+                                          fault_row):
+        """Row runs, with or without a faulting row and under either cost
+        model, leave what interpreting each row leaves."""
+        # A trailing load of the first argument faults in ``fault_row``
+        # even when the generated ops never touch it.
+        block = build_block(descriptors + [("read", 0, 0, 8)], model)
+        reference, *others = (observe_rows(path, block, fault_row)
+                              for path in ROW_PATHS)
+        assert (reference["fault"] is None) == (fault_row is None)
+        for other in others:
+            assert other == reference
+
+    @pytest.mark.parametrize("fault_row", [None, 1], ids=["ok", "fault"])
+    def test_fallback_charges_the_meters_model(self, fault_row):
+        """A block built under another cost model charges what the same
+        ops built under the meter's model charge, not its own totals."""
+        descriptors = [("fill", 1, 0, 64, 7), ("copy", 1, 64, 1, 0, 24),
+                       ("compute", 5), ("read", 0, 8, 8)]
+        foreign = build_block(descriptors, OTHER_MODEL)
+        native = build_block(descriptors)
+        assert foreign.base_cycles != native.base_cycles
+        for path in ROW_PATHS:
+            assert (observe_rows(path, foreign, fault_row)
+                    == observe_rows(path, native, fault_row))
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +560,15 @@ class TestSendfile:
         with pytest.raises(BlockError):
             BlockBuilder().sendfile(0, 0, 0)
 
-    @pytest.mark.parametrize("runner", PATHS, ids=PATH_IDS)
-    def test_unreadable_range_is_a_read_fault(self, runner):
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+    def test_unreadable_range_is_a_read_fault(self, path):
         """The access check is a *read* of the full range on every
         execution path — the zero-copy send still observes the data."""
         builder = BlockBuilder()
         builder.sendfile(0, 0, 8)
         block = builder.build()
-        process = make_process()
+        monitor_cls, runner = path
+        process = make_process(monitor_cls=monitor_cls)
 
         def body(p):
             buf = p.malloc(BUF, site="a")
