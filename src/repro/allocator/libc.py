@@ -251,21 +251,25 @@ class LibcAllocator(Allocator):
         free_chunk = self._free_chunk
         usables: List[int] = []
         append = usables.append
-        for address in addresses:
-            if address == 0:
-                continue
-            chunk_size = live.pop(address, None)
-            if chunk_size is None:
-                self._validate_live(address, "free")
-            append(chunk_size - HEADER_SIZE)
-            if mmapped:
-                mapping = mmapped.pop(address, None)
-                if mapping is not None:
-                    map_base, length, _ = mapping
-                    self.memory.munmap(map_base, length)
+        try:
+            for address in addresses:
+                if address == 0:
                     continue
-            free_chunk(address - HEADER_SIZE, chunk_size)
-        self.stats.record_free_run(usables)
+                chunk_size = live.pop(address, None)
+                if chunk_size is None:
+                    self._validate_live(address, "free")
+                append(chunk_size - HEADER_SIZE)
+                if mmapped:
+                    mapping = mmapped.pop(address, None)
+                    if mapping is not None:
+                        map_base, length, _ = mapping
+                        self.memory.munmap(map_base, length)
+                        continue
+                free_chunk(address - HEADER_SIZE, chunk_size)
+        finally:
+            # On a bad free, the frees before it are recorded as the
+            # scalar loop would have recorded them.
+            self.stats.record_free_run(usables)
 
     def realloc(self, address: int, size: int) -> int:
         if address == 0:

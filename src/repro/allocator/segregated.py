@@ -82,9 +82,8 @@ class SegregatedAllocator(Allocator):
     def _refill(self, cls: int) -> None:
         base = self.memory.mmap(SLAB_SIZE)
         self.slabs_mapped += 1
-        slots = self._free_slots.setdefault(cls, [])
-        for offset in range(0, SLAB_SIZE, cls):
-            slots.append(base + offset)
+        self._free_slots.setdefault(cls, []).extend(
+            range(base, base + SLAB_SIZE, cls))
 
     def _alloc_small(self, size: int) -> int:
         cls = _size_class(size)
@@ -211,8 +210,7 @@ class SegregatedAllocator(Allocator):
                 chunk.reverse()
                 del slots[split:]
                 out.extend(chunk)
-            entry = ("slot", cls)
-            self._objects.update((address, entry) for address in out)
+            self._objects.update(zip(out, repeat(("slot", cls))))
             if self._retired:
                 self._retired.difference_update(out)
             self.stats.record_malloc_run(sizes)
@@ -265,13 +263,14 @@ class SegregatedAllocator(Allocator):
         entries = list(map(objects.pop, live, repeat(None, n)))
         if None in entries:
             # Unknown or double free somewhere in the run: restore the
-            # popped entries and replay scalar, which releases the
-            # prefix and raises the canonical error at the bad address.
+            # popped entries and replay scalar, which releases (and
+            # records) the prefix and raises the canonical error at the
+            # bad address.
             for address, entry in zip(live, entries):
                 if entry is not None:
                     objects[address] = entry
             for address in live:
-                self._release(address)
+                self.free(address)
         first = entries[0]
         if first[0] == "slot":
             if entries.count(first) == n:

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..allocator.base import Allocator
 from ..allocator.stats import AllocationStats
 from ..common.fifo import FreedBlock, FreedBlockQueue
-from ..machine.errors import OutOfMemoryError
+from ..machine.errors import InvalidFree, OutOfMemoryError
 from ..machine.layout import PAGE_SHIFT, PAGE_SIZE, SIZE_MAX, is_power_of_two
 from ..machine.memory import PROT_NONE, PROT_RW
 from ..patch.model import HeapPatch
@@ -434,9 +434,19 @@ class DefendedAllocator(Allocator):
                 unsealed += 1
         finally:
             if unsealed:
-                self.stats.record_free_run(
-                    self.memory.read_word_gather(guards[:unsealed]))
-                self.underlying.free_run(raws[:unsealed])
+                guards = guards[:unsealed]
+                self._release_run(raws[:unsealed],
+                                  self.memory.read_word_gather(guards))
+
+    def _release_run(self, raws: List[int], sizes: List[int]) -> None:
+        """Release chunks in one underlying run and record their user
+        sizes; a bad free records the frees through it, as scalar does."""
+        try:
+            self.underlying.free_run(raws)
+        except InvalidFree as exc:
+            self.stats.record_free_run(sizes[:raws.index(exc.address) + 1])
+            raise
+        self.stats.record_free_run(sizes)
 
     def _free_decoded(self, address: int, decoded: Optional[
             Tuple[BufferMetadata, int]] = None) -> None:
@@ -468,43 +478,51 @@ class DefendedAllocator(Allocator):
         n = len(addresses)
         if n == 0:
             return
+        raws = [address - METADATA_SIZE for address in addresses if address]
+        if len(set(raws)) < len(raws):
+            # A buffer freed twice in one run: which of its frees fails
+            # depends on whether it was live before, so go scalar.
+            for address in addresses:
+                self.free(address)
+            return
         meter = self.meter
         if meter is not None:
             model = meter.model
             meter.charge("interpose", model.interpose * n)
             meter.charge("metadata", model.metadata * n)
-        raws = [address - METADATA_SIZE for address in addresses if address]
         words = self.memory.read_word_gather(raws)
-        # One partition: plain and Structure 2 words go out as a batch
-        # each, others decode in place.  Unobservable: no free touches a
-        # live buffer's word, and the underlying sees the same releases.
-        # A decoded free can release a chunk itself (or evict one from
-        # the quarantine), so the batches gathered so far go out first:
-        # the underlying then sees every release in run order.
-        plain, sizes, guarded, guarded_words = [], [], [], []
+        # Consecutive plain words go out as one batch, consecutive
+        # Structure 2 words as another; others decode in place.  The
+        # underlying thus sees every release in run order, and a bad
+        # free stops the run where the scalar loop would.
+        pending: List[int] = []
+        pending_words: List[int] = []
+        pending_tag = 0
         for raw, word in zip(raws, words):
             tag = word & 0xF
-            if not tag:
-                plain.append(raw)
-                sizes.append(word >> _METADATA_SIZE_SHIFT)
-            elif tag == _GUARD_TAG:
-                guarded.append(raw)
-                guarded_words.append(word)
-            else:
-                self._flush_frees(plain, sizes, guarded, guarded_words)
-                plain, sizes, guarded, guarded_words = [], [], [], []
-                self._free_decoded(raw + METADATA_SIZE)
-        self._flush_frees(plain, sizes, guarded, guarded_words)
+            if tag != pending_tag:
+                self._flush_frees(pending, pending_words, pending_tag)
+                pending, pending_words = [], []
+                if tag != _GUARD_TAG:
+                    pending_tag = 0
+                    self._free_decoded(raw + METADATA_SIZE)
+                    continue
+                pending_tag = tag
+            pending.append(raw)
+            pending_words.append(word)
+        self._flush_frees(pending, pending_words, pending_tag)
 
-    def _flush_frees(self, plain: List[int], sizes: List[int],
-                     guarded: List[int], guarded_words: List[int]) -> None:
-        """Release :meth:`free_run`'s pending Structure 2 and plain
-        batches (either may be empty)."""
-        if guarded:
-            self._free_guarded(guarded, guarded_words)
-        if plain:
-            self.underlying.free_run(plain)
-            self.stats.record_free_run(sizes)
+    def _flush_frees(self, raws: List[int], words: List[int],
+                     tag: int) -> None:
+        """Release :meth:`free_run`'s pending batch of one tag (plain or
+        Structure 2; possibly empty)."""
+        if not raws:
+            return
+        if tag:
+            self._free_guarded(raws, words)
+        else:
+            self._release_run(raws, [word >> _METADATA_SIZE_SHIFT
+                                     for word in words])
 
     # ------------------------------------------------------------------
     # Patch-table swap (read-mostly shared tables, copy-on-write)

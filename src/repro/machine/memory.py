@@ -55,6 +55,7 @@ workers do this to share page state without pickling it).
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import MapError, OutOfMemoryError, SegmentationFault
@@ -197,13 +198,12 @@ class VirtualMemory:
             if address + length > ADDRESS_SPACE_SIZE:
                 raise MapError("mmap: mapping exceeds address space")
         first = page_number(address)
-        count = length // PAGE_SIZE
-        for pno in range(first, first + count):
-            if pno in self._protections:
-                raise MapError(
-                    f"mmap: page 0x{pno << 12:x} already mapped")
-        for pno in range(first, first + count):
-            self._protections[pno] = prot
+        pages = range(first, first + length // PAGE_SIZE)
+        protections = self._protections
+        if not protections.keys().isdisjoint(pages):
+            pno = next(pno for pno in pages if pno in protections)
+            raise MapError(f"mmap: page 0x{pno << 12:x} already mapped")
+        protections.update(zip(pages, repeat(prot)))
         # Freshly mapped pages were unmapped a moment ago, so they cannot
         # be sitting in the translation cache; no invalidation needed.
         return address
@@ -745,13 +745,11 @@ class VirtualMemory:
         return frame
 
     def _discard_frame(self, pno: int) -> None:
-        """Drop a resident page and return its slot to the store."""
-        frame = self._frames.pop(pno)
-        words = self._frame_words.pop(pno)
-        slot = self._frame_slots.pop(pno)
-        frame.release()
-        words.release()
-        self._store.free(slot)
+        """Drop a resident page and return its slot to the store (which
+        owns the slot's views and hands the same ones out again)."""
+        del self._frames[pno]
+        del self._frame_words[pno]
+        self._store.free(self._frame_slots.pop(pno))
 
     def _copy_out(self, address: int, size: int) -> bytes:
         if size <= 0:
@@ -822,8 +820,12 @@ class VirtualMemory:
         when many ``VirtualMemory`` instances share a long-lived store
         and slots should be returned promptly.
         """
-        for pno in list(self._frames):
-            self._discard_frame(pno)
+        free = self._store.free
+        for slot in self._frame_slots.values():
+            free(slot)
+        self._frames.clear()
+        self._frame_words.clear()
+        self._frame_slots.clear()
         self._tlb_page = -1
         self._tlb_frame = None
         self._tlb_words = None

@@ -14,6 +14,10 @@ layout) and hands out per-page ``memoryview`` windows:
 
 Segments never move or resize once created (growth appends new
 segments), so handed-out views stay valid for the life of the store.
+The store builds a slot's two views the first time it hands the slot
+out and keeps them: a reused slot returns the very same objects, so a
+long-lived arena (one per serving worker) recycles frames without
+creating views.  :meth:`PageStore.close` releases them.
 
 With ``shared=True`` the segments are allocated in POSIX shared memory
 (:mod:`multiprocessing.shared_memory`) instead of the private heap.  A
@@ -25,6 +29,8 @@ pickling page state.
 A slot is "dirty" exactly while it is allocated; freed slots are
 re-zeroed lazily on reuse so fresh frames always read as zero (the
 demand-paging contract of :class:`~repro.machine.memory.VirtualMemory`).
+Freeing a slot that is already free raises :class:`SlotAlreadyFree`:
+handing one frame to two owners would alias their pages.
 """
 
 from __future__ import annotations
@@ -51,6 +57,14 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 
 class PageStoreClosed(RuntimeError):
     """Operation on a store whose segments have been released."""
+
+
+class SlotAlreadyFree(ValueError):
+    """``free`` of a slot that is not allocated (a double free)."""
+
+    def __init__(self, slot: int) -> None:
+        self.slot = slot
+        super().__init__(f"page-store slot {slot} is already free")
 
 
 class PageStoreHandle:
@@ -104,6 +118,8 @@ class PageStore:
         self._free_slots: List[int] = []
         #: Freed slots whose contents were not re-zeroed yet.
         self._dirty_slots: set = set()
+        #: Per slot: its ``(byte view, word view)`` once handed out.
+        self._slot_views: List[Optional[Tuple[memoryview, memoryview]]] = []
         self._total_slots = 0
         self._allocated = 0
         self._closed = False
@@ -138,14 +154,20 @@ class PageStore:
             view = memoryview(block.buf)
         else:
             view = memoryview(bytearray(pages * PAGE_SIZE))
+        base = self._register_segment(view, pages)
+        # Low slots first: freshly added slots are handed out in
+        # ascending order for deterministic layouts.
+        self._free_slots.extend(range(base + pages - 1, base - 1, -1))
+
+    def _register_segment(self, view: memoryview, pages: int) -> int:
+        """Append a segment's geometry; returns its first slot id."""
         base = self._total_slots
         self._segment_views.append(view)
         self._segment_pages.append(pages)
         self._segment_base.append(base)
+        self._slot_views.extend([None] * pages)
         self._total_slots += pages
-        # Low slots first: freshly added slots are handed out in
-        # ascending order for deterministic layouts.
-        self._free_slots.extend(range(base + pages - 1, base - 1, -1))
+        return base
 
     def _locate(self, slot: int) -> Tuple[int, int]:
         """Map a slot id to ``(segment index, page index in segment)``."""
@@ -155,10 +177,13 @@ class PageStore:
         raise ValueError(f"slot {slot} out of range")
 
     def _views_for(self, slot: int) -> Tuple[memoryview, memoryview]:
-        seg, index = self._locate(slot)
-        start = index * PAGE_SIZE
-        window = self._segment_views[seg][start:start + PAGE_SIZE]
-        return window, window.cast("Q")
+        views = self._slot_views[slot]
+        if views is None:
+            seg, index = self._locate(slot)
+            start = index * PAGE_SIZE
+            window = self._segment_views[seg][start:start + PAGE_SIZE]
+            views = self._slot_views[slot] = (window, window.cast("Q"))
+        return views
 
     # ------------------------------------------------------------------
     # Slot allocation
@@ -175,7 +200,7 @@ class PageStore:
         if not self._free_slots:
             self._add_segment()
         slot = self._free_slots.pop()
-        window, words = self._views_for(slot)
+        window, words = self._slot_views[slot] or self._views_for(slot)
         if slot in self._dirty_slots:
             # The slot held data before; restore the zero-page contract.
             self._dirty_slots.discard(slot)
@@ -184,9 +209,14 @@ class PageStore:
         return slot, window, words
 
     def free(self, slot: int) -> None:
-        """Return a slot to the free list (contents re-zeroed on reuse)."""
+        """Return a slot to the free list (contents re-zeroed on reuse).
+
+        Raises :class:`SlotAlreadyFree` if ``slot`` is already free.
+        """
         if self._closed:
             return
+        if slot in self._dirty_slots:
+            raise SlotAlreadyFree(slot)
         self._free_slots.append(slot)
         self._dirty_slots.add(slot)
         self._allocated -= 1
@@ -237,11 +267,7 @@ class PageStore:
         for name, pages in zip(handle.segment_names, handle.segment_pages):
             block = shared_memory.SharedMemory(name=name)
             store._shm_blocks.append(block)
-            base = store._total_slots
-            store._segment_views.append(memoryview(block.buf))
-            store._segment_pages.append(pages)
-            store._segment_base.append(base)
-            store._total_slots += pages
+            store._register_segment(memoryview(block.buf), pages)
         # Attached stores are read/write windows over foreign frames;
         # they do not allocate, so no free slots are registered.
         return store
@@ -251,23 +277,31 @@ class PageStore:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release segments; shared owners also unlink the OS objects.
+        """Release views and segments; shared owners also unlink the OS
+        objects.
 
-        Safe to call more than once.  Handed-out views keep their
-        underlying mappings alive until they are garbage collected, so
-        closing with live frames does not invalidate them — it only
-        removes the shared names from the system.
+        Safe to call more than once.  Every view the store handed out is
+        released first (the store owns them), so a frame still held by a
+        live ``VirtualMemory`` stops working instead of keeping a shared
+        mapping pinned.
         """
         if self._closed:
             return
         self._closed = True
+        for views in self._slot_views:
+            if views is not None:
+                views[1].release()
+                views[0].release()
+        self._slot_views.clear()
+        for view in self._segment_views:
+            view.release()
         self._segment_views.clear()
         for block in self._shm_blocks:
             try:
                 block.close()  # type: ignore[attr-defined]
             except BufferError:
-                # Views handed out to a VirtualMemory are still alive;
-                # the mapping persists until they are collected.
+                # A slice of a frame is still alive somewhere; the
+                # mapping persists until it is collected.
                 pass
             if not self._attached:
                 try:

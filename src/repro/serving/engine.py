@@ -52,6 +52,7 @@ from ..ccencoding.base import Codec
 from ..core.instrument import instrument
 from ..defense.interpose import DEFAULT_ONLINE_QUOTA
 from ..defense.patch_table import PatchTable
+from ..machine.pagestore import PageStore, get_default_store
 from ..patch import config as patch_config
 from ..program.program import Program
 from .handle import PatchTableHandle
@@ -173,6 +174,11 @@ class _WorkerServeState:
         self.options = plan.options
         self._tables: Dict[int, PatchTable] = {}
         self._table_text = dict(plan.tables)
+        #: The worker's page arena: every batch borrows its frames and
+        #: returns them, so frames and their views are built once per
+        #: worker, not once per batch.  The shared arena when
+        #: ``shared_pages`` installed one, else a private store.
+        self.arena = get_default_store() or PageStore()
 
     def _table(self, version: int) -> PatchTable:
         table = self._tables.get(version)
@@ -194,9 +200,13 @@ class _WorkerServeState:
             defended=options.defended,
             table=self._table(version),
             allocator=options.allocator,
-            quarantine_quota=options.quarantine_quota)
+            quarantine_quota=options.quarantine_quota,
+            page_store=self.arena)
         rounds = split_rounds(list(plan.batch(index)), plan.attack_token)
-        outcomes, served, bytes_sent = session.serve_rounds(rounds)
+        try:
+            outcomes, served, bytes_sent = session.serve_rounds(rounds)
+        finally:
+            session.memory.close()
         process = session.process
         return BatchResult(
             index=index,
@@ -208,6 +218,12 @@ class _WorkerServeState:
             table_version=version,
             wall=time.monotonic(),
         )
+
+    def close(self) -> None:
+        """Release a private arena (a shared one belongs to the
+        installer, which tears it down at worker exit)."""
+        if self.arena is not get_default_store():
+            self.arena.close()
 
 
 #: The unpickled plan of this worker process (set by the initializer).
@@ -367,8 +383,11 @@ class ServingEngine:
         start = time.perf_counter()
         if self.options.workers == 1 or n_batches <= 1:
             state = _WorkerServeState(plan)
-            batches = [state.serve_batch(index)
-                       for index in range(n_batches)]
+            try:
+                batches = [state.serve_batch(index)
+                           for index in range(n_batches)]
+            finally:
+                state.close()
         else:
             batches = self._serve_parallel(plan, n_batches)
         seconds = time.perf_counter() - start

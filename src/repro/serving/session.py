@@ -3,11 +3,18 @@
 The paper's calling-context encoding is thread-local by design — every
 thread owns its V register.  The serving engine reproduces that
 ownership structurally: each batch is served by a fresh
-:class:`ServingSession` holding its *own* encoding runtime, allocator,
-meter and :class:`~repro.program.process.Process`.  Nothing mutable is
-shared between workers, so per-worker CCIDs are computed by the same
-codec over the same frames as a sequential run — the cross-worker
-equivalence the tests pin down to byte-identical reports.
+:class:`ServingSession` holding its *own* address space, encoding
+runtime, allocator, meter and :class:`~repro.program.process.Process`.
+Nothing mutable is shared between workers, so per-worker CCIDs are
+computed by the same codec over the same frames as a sequential run —
+the cross-worker equivalence the tests pin down to byte-identical
+reports.
+
+Only host frame storage outlives a batch: the session's
+``VirtualMemory`` borrows page frames from its worker's arena (a
+:class:`~repro.machine.pagestore.PageStore`) and returns them when the
+engine closes it.  The guest cannot see the reuse — the address space starts empty
+and a recycled frame reads as zero.
 
 Fault isolation: a batch is split into *rounds* around attack tokens
 (:func:`~repro.serving.services.split_rounds`).  Each round is one
@@ -31,6 +38,8 @@ from ..ccencoding.runtime import EncodingRuntime
 from ..defense.interpose import DEFAULT_ONLINE_QUOTA, DefendedAllocator
 from ..defense.patch_table import PatchTable
 from ..machine.errors import SegmentationFault
+from ..machine.memory import VirtualMemory
+from ..machine.pagestore import PageStore
 from ..program.cost import CycleMeter
 from ..program.monitor import DirectMonitor
 from ..program.process import Process
@@ -51,12 +60,14 @@ ALLOCATORS = ("segregated", "libc")
 MAP_CACHE_MAPPINGS = 256
 
 
-def make_allocator(name: str, map_cache: int = 0) -> Allocator:
-    """Construct a fresh underlying allocator by registry name."""
+def make_allocator(name: str, map_cache: int = 0,
+                   memory: Optional[VirtualMemory] = None) -> Allocator:
+    """Construct a fresh underlying allocator by registry name (over
+    ``memory``, or a fresh :class:`VirtualMemory` when omitted)."""
     if name == "segregated":
-        return SegregatedAllocator(map_cache=map_cache)
+        return SegregatedAllocator(memory, map_cache=map_cache)
     if name == "libc":
-        return LibcAllocator()
+        return LibcAllocator(memory)
     raise ValueError(f"unknown allocator {name!r}; choose from "
                      f"{', '.join(ALLOCATORS)}")
 
@@ -102,11 +113,16 @@ class ServingSession:
                  defended: bool = True,
                  table: Optional[PatchTable] = None,
                  allocator: str = "segregated",
-                 quarantine_quota: int = DEFAULT_ONLINE_QUOTA) -> None:
+                 quarantine_quota: int = DEFAULT_ONLINE_QUOTA,
+                 page_store: Optional[PageStore] = None) -> None:
         self.program = program
         self.meter = CycleMeter()
+        #: This batch's address space, drawing frames from ``page_store``
+        #: (the worker's arena) until it is closed.
+        self.memory = VirtualMemory(page_store=page_store)
         underlying = make_allocator(allocator,
-                                    map_cache=MAP_CACHE_MAPPINGS)
+                                    map_cache=MAP_CACHE_MAPPINGS,
+                                    memory=self.memory)
         runtime = EncodingRuntime(codec, self.meter)
         self.runtime = runtime
         if defended:
@@ -117,7 +133,7 @@ class ServingSession:
         else:
             heap = underlying
         self.heap = heap
-        monitor = DirectMonitor(underlying.memory, heap, self.meter)
+        monitor = DirectMonitor(self.memory, heap, self.meter)
         self.process = Process(program.graph, monitor=monitor,
                                context_source=runtime, meter=self.meter,
                                record_allocations=False, track_live=False)

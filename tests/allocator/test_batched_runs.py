@@ -117,13 +117,28 @@ class TestSegregatedFreeRun:
         assert allocator.stats.snapshot()["free"] == 1
 
     def test_double_free_within_run_is_canonical(self):
-        """A duplicate inside one run raises exactly what scalar replay
-        raises, with the prefix released and no entry lost."""
-        allocator = SegregatedAllocator()
-        a, b = allocator.malloc_run([48, 48])
-        with pytest.raises(DoubleFree):
-            allocator.free_run([a, b, a])
-        assert allocator.live_buffer_count == 0
+        """A bad free inside one run raises exactly what the scalar loop
+        raises, after releasing and recording the same prefix: equal
+        stats snapshots on every allocator, the interposer's and its
+        underlying's both."""
+        for make in (LibcAllocator, SegregatedAllocator,
+                     lambda: DefendedAllocator(SegregatedAllocator(),
+                                               PatchTable.empty()),
+                     lambda: DefendedAllocator(LibcAllocator(),
+                                               PatchTable.empty())):
+            for bad_run in (_run_after_free, _run_with_duplicate):
+                outcomes = []
+                for batched in (True, False):
+                    allocator = make()
+                    run = bad_run(allocator)
+                    with pytest.raises(DoubleFree):
+                        if batched:
+                            allocator.free_run(run)
+                        else:
+                            for address in run:
+                                allocator.free(address)
+                    outcomes.append(_observables(allocator))
+                assert outcomes[0] == outcomes[1], (make, bad_run)
 
     def test_free_of_retired_address_raises_double_free(self):
         allocator = SegregatedAllocator()
@@ -146,6 +161,28 @@ class TestSegregatedFreeRun:
         assert allocator.live_buffer_count == 3
         allocator.free_run(addresses)
         assert allocator.live_buffer_count == 0
+
+
+def _run_after_free(allocator):
+    """``[a, d, c, b]`` with ``c`` already freed (``d`` is large)."""
+    a, b, c = (allocator.malloc(40) for _ in range(3))
+    d = allocator.malloc(9000)
+    allocator.free(c)
+    return [a, d, c, b]
+
+
+def _run_with_duplicate(allocator):
+    """``[a, b, a]``: the second free of ``a`` is the bad one."""
+    a, b = allocator.malloc(48), allocator.malloc(48)
+    return [a, b, a]
+
+
+def _observables(allocator):
+    """Stats snapshots (the interposer's and its underlying's) and the
+    live-buffer count."""
+    underlying = getattr(allocator, "underlying", allocator)
+    return (allocator.stats.snapshot(), underlying.stats.snapshot(),
+            underlying.live_buffer_count)
 
 
 class _FixedContext(ContextSource):
