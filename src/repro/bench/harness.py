@@ -31,7 +31,6 @@ between hosts, which is exactly what a regression gate needs.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
@@ -46,6 +45,7 @@ from ..defense.interpose import DefendedAllocator
 from ..defense.patch_table import PatchTable
 from ..machine.layout import PAGE_SIZE
 from ..machine.memory import VirtualMemory
+from ..parallel.fanout import usable_cpus
 from ..program.blocks import BasicBlock, BlockBuilder
 from ..program.callgraph import CallGraph
 from ..program.process import Process, ProgramLike
@@ -489,11 +489,9 @@ SERVING_WORKERS_SWEEP: Tuple[int, ...] = (1, 2, 4, 8)
 
 def bench_serving_sequential(requests: int,
                              repeat: int) -> BenchResult:
-    """The sequential baseline: the legacy per-op defended worker loop.
-
-    Headline throughput is the *defended* requests/s (the quantity the
-    engine entries are measured against); native timing and the cycle
-    overhead ride along as extras.
+    """The close-per-request defended loop, recorded beside the engine
+    curve but never divided into it (a different workload).  Native
+    timing and the cycle overhead ride along as extras.
     """
     from ..core.pipeline import HeapTherapy
     from ..workloads.services import NginxServer
@@ -528,7 +526,8 @@ def bench_serving_sequential(requests: int,
 
 def bench_serving_engine(requests: int, batch_size: int, workers: int,
                          repeat: int,
-                         sequential: BenchResult) -> BenchResult:
+                         workers1: Optional[BenchResult] = None
+                         ) -> BenchResult:
     """One point of the engine scaling curve: ``workers`` processes.
 
     Both runs reuse one preforked engine per configuration, so the
@@ -536,7 +535,8 @@ def bench_serving_engine(requests: int, batch_size: int, workers: int,
     is paid at pool creation, exactly as in nginx's master/worker model.
     Extras carry the worker count (the baseline gate skips multi-worker
     entries across hosts with different CPU counts), the cycle overhead
-    and the speedup over the sequential baseline.
+    and the equal-work scaling over the engine's own ``workers=1``
+    point.
     """
     from ..serving import ServingEngine, ServingOptions
 
@@ -572,9 +572,9 @@ def bench_serving_engine(requests: int, batch_size: int, workers: int,
         result.extras["native_ops_per_sec"] = ops / native_seconds
     result.extras["cycle_overhead_pct"] = (
         cycles["defended"] / cycles["native"] - 1) * 100
-    if sequential.seconds > 0 and defended_seconds > 0:
-        result.extras["speedup_vs_sequential"] = (
-            sequential.seconds / defended_seconds)
+    if workers1 is not None and workers1.ops_per_sec > 0:
+        result.extras["scaling_vs_workers1"] = (
+            result.ops_per_sec / workers1.ops_per_sec)
     bench_serving_engine.last_digest = digests[  # type: ignore[attr-defined]
         "defended"]
     return result
@@ -587,7 +587,7 @@ SERVE_BENCH_CONCURRENCY = 20
 def run_serving_suite(scale: float = 1.0, repeat: int = 2,
                       workers_sweep: Tuple[int, ...] =
                       SERVING_WORKERS_SWEEP) -> SuiteReport:
-    """The serving scaling curve: sequential oracle vs engine workers.
+    """The serving scaling curve: engine throughput over worker counts.
 
     Every engine point must serve byte-identical outcomes (the engine's
     determinism contract) — a digest mismatch across worker counts fails
@@ -598,19 +598,22 @@ def run_serving_suite(scale: float = 1.0, repeat: int = 2,
     """
     requests = max(int(32000 * scale), 800)
     batch_size = max(requests // max(workers_sweep), 50)
-    sequential = bench_serving_sequential(requests, repeat)
-    results = [sequential]
+    results = [bench_serving_sequential(requests, repeat)]
+    workers1: Optional[BenchResult] = None
     digests: Dict[int, str] = {}
     for workers in workers_sweep:
-        results.append(bench_serving_engine(requests, batch_size,
-                                            workers, repeat, sequential))
+        result = bench_serving_engine(requests, batch_size, workers,
+                                      repeat, workers1)
+        if workers == 1:
+            workers1 = result
+        results.append(result)
         digests[workers] = (
             bench_serving_engine.last_digest)  # type: ignore[attr-defined]
     if len(set(digests.values())) > 1:
         raise RuntimeError(
             f"serving outcomes diverged across worker counts: {digests}")
     return SuiteReport("serving", scale, repeat, results,
-                       meta={"cpus": os.cpu_count() or 1})
+                       meta={"cpus": usable_cpus()})
 
 
 # ----------------------------------------------------------------------
@@ -685,8 +688,6 @@ def run_diagnosis_suite(scale: float = 1.0, repeat: int = 3,
     throughput is only comparable between runs on equally sized hosts,
     and the regression gate skips multi-worker entries otherwise.
     """
-    import os
-
     results: List[BenchResult] = []
     serial: Optional[BenchResult] = None
     diagnosis: Any = None
@@ -698,7 +699,7 @@ def run_diagnosis_suite(scale: float = 1.0, repeat: int = 3,
         results.append(result)
     results.append(bench_diagnosis_merge(repeat, diagnosis))
     return SuiteReport("diagnosis", scale, repeat, results,
-                       meta={"cpus": os.cpu_count() or 1})
+                       meta={"cpus": usable_cpus()})
 
 
 # ----------------------------------------------------------------------
@@ -763,8 +764,6 @@ def run_fuzz_suite(scale: float = 1.0, repeat: int = 2,
     extra and the report records the host CPU count in ``meta`` so the
     regression gate skips cross-host comparisons.
     """
-    import os
-
     results: List[BenchResult] = [bench_fuzz_generation(scale, repeat)]
     serial: Optional[BenchResult] = None
     for jobs in jobs_sweep:
@@ -773,7 +772,7 @@ def run_fuzz_suite(scale: float = 1.0, repeat: int = 2,
             serial = result
         results.append(result)
     return SuiteReport("fuzz", scale, repeat, results,
-                       meta={"cpus": os.cpu_count() or 1})
+                       meta={"cpus": usable_cpus()})
 
 
 # ----------------------------------------------------------------------
@@ -934,7 +933,7 @@ def run_fleet_suite(scale: float = 1.0, repeat: int = 2,
     results = [bench_fleet(scale, repeat, instances)
                for instances in sizes]
     return SuiteReport("fleet", scale, repeat, results,
-                       meta={"cpus": os.cpu_count() or 1})
+                       meta={"cpus": usable_cpus()})
 
 
 # ----------------------------------------------------------------------

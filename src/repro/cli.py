@@ -223,6 +223,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .fuzz.generator import spec_from_dict
+    from .parallel.fanout import resolve_jobs
     from .synth import corpus_of, synthesize_range, synthesize_specs
     from .workloads.corpus import save_corpus
 
@@ -230,9 +231,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise _usage_error(f"--jobs must be >= 0, got {args.jobs}")
     if args.count < 1:
         raise _usage_error(f"--count must be >= 1, got {args.count}")
-    jobs = args.jobs or None
-    import os
-    resolved_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+    resolved_jobs = resolve_jobs(args.jobs)
     plan_kinds = () if args.plan == "all" else (args.plan,)
 
     if args.specs:

@@ -29,7 +29,6 @@ first use so a worker only pays for the workloads it actually sees.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -178,7 +177,7 @@ class DiagnosisPool:
     Args:
         jobs: worker processes; ``1`` (the default) runs in-process
             through the identical worker code path, and ``None`` uses
-            the host's CPU count.
+            every CPU this process may run on.
         strategy/scheme/prune: instrumentation options applied when the
             pool instruments corpus workloads itself (ignored for plans
             passed explicitly to :meth:`diagnose`).
@@ -192,7 +191,9 @@ class DiagnosisPool:
                  quarantine_quota: int = DEFAULT_QUOTA,
                  shared_pages: bool = False) -> None:
         if jobs is None:
-            jobs = os.cpu_count() or 1
+            from .fanout import usable_cpus
+
+            jobs = usable_cpus()
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs

@@ -32,10 +32,17 @@ def _init_fanout_worker(shared_pages: bool) -> None:
         install_shared_worker_store("repro-fanout-pages")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (``taskset`` and cpusets count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: int = 0) -> int:
-    """Normalize a jobs count (``0``/negative = host CPU count)."""
+    """Normalize a jobs count (``0``/negative = usable CPU count)."""
     if jobs < 1:
-        return os.cpu_count() or 1
+        return usable_cpus()
     return jobs
 
 

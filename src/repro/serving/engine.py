@@ -9,12 +9,11 @@ defended allocator:
   :class:`~repro.serving.handle.PatchTableHandle`.  Copy-on-write swaps
   therefore take effect at the next batch boundary for every worker at
   once — no worker can serve one batch under two table versions.
-* **Dispatch** — batches feed ``N`` worker processes over a preforked
-  ``ProcessPoolExecutor`` as each worker drains, with admission
-  backpressure: at most ``min(workers, host CPUs)`` batches are in
-  flight at once, so an oversubscribed host never pays for cache
-  thrash between more CPU-bound batches than it can run.  The
-  instrumented program
+* **Dispatch** — every unfinished batch is submitted at once to a
+  preforked ``ProcessPoolExecutor`` of at most one worker per usable
+  CPU; its call queue keeps the next batch ready beside each worker,
+  so a worker that drains never waits for the controller, and a queued
+  batch waits for a worker, never for a CPU.  The instrumented program
   plan — program, deployed codec, every published table text — ships
   once through the pool initializer; per-batch messages carry only the
   batch index, mirroring :class:`~repro.parallel.engine.DiagnosisPool`.
@@ -37,12 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -270,14 +268,6 @@ def _serve_index(index: int) -> BatchResult:
     return _STATE.serve_batch(index)
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap workers); the plan is pickle-clean either
-    way so ``spawn`` hosts work too."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-
-
 class ServingEngine:
     """Admits, batches and dispatches a serving run."""
 
@@ -402,14 +392,15 @@ class ServingEngine:
     def _serve_parallel(self, plan: ServingPlan,
                         n_batches: int) -> List[BatchResult]:
         """Dispatch with crash recovery: a dead worker breaks the whole
-        ``ProcessPoolExecutor`` (every in-flight future raises
-        ``BrokenProcessPool``), so recovery reaps the broken pool,
-        preforks a fresh one and resubmits only the batches that never
-        completed.  Batch outcomes are pure functions of (batch, table
-        version), so a rerun batch is byte-identical to what the dead
-        worker would have produced — the ``workers=1`` oracle digest
-        still matches.  Persistent crash loops fail the serve after
-        :data:`MAX_POOL_REBUILDS` rebuilds instead of spinning."""
+        ``ProcessPoolExecutor`` (every unfinished future, queued or
+        running, raises ``BrokenProcessPool``), so recovery reaps the
+        broken pool, preforks a fresh one and resubmits only the
+        batches that never completed.  Batch outcomes are pure
+        functions of (batch, table version), so a rerun batch is
+        byte-identical to what the dead worker would have produced —
+        the ``workers=1`` oracle digest still matches.  Persistent
+        crash loops fail the serve after :data:`MAX_POOL_REBUILDS`
+        rebuilds instead of spinning."""
         results: List[Optional[BatchResult]] = [None] * n_batches
         rebuilds = 0
         while True:
@@ -431,36 +422,36 @@ class ServingEngine:
 
     def _dispatch(self, plan: ServingPlan, n_batches: int,
                   results: List[Optional[BatchResult]]) -> None:
-        """One dispatch round over the unfinished batches.
-
-        Bounded in-flight dispatch (admission backpressure): batches go
-        to workers as they drain, but never more are in flight than the
-        host can actually run — oversubscribing a small host with
-        CPU-bound batches only buys cache thrash.  Results merge by
-        batch index, so completion order is unobservable.
-        """
+        """Submit every unfinished batch; merge results by index.  A
+        broken pool first keeps every clean result, so recovery reruns
+        only lost batches; any failure cancels the still-queued ones."""
         executor = self._pool(plan, n_batches)
-        max_inflight = max(1, min(self.options.workers,
-                                  os.cpu_count() or 1))
-        pending = [i for i, r in enumerate(results) if r is None]
-        inflight: Dict[Any, int] = {}
-        next_pos = 0
-        while next_pos < len(pending) or inflight:
-            while (next_pos < len(pending)
-                   and len(inflight) < max_inflight):
-                index = pending[next_pos]
-                future = executor.submit(_serve_index, index)
-                inflight[future] = index
-                next_pos += 1
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                results[inflight.pop(future)] = future.result()
+        futures = {executor.submit(_serve_index, index): index
+                   for index, result in enumerate(results)
+                   if result is None}
+        try:
+            for future in as_completed(futures):
+                results[futures[future]] = future.result()
+        except BrokenProcessPool:
+            for future, index in futures.items():
+                if (future.done() and not future.cancelled()
+                        and future.exception() is None):
+                    results[index] = future.result()
+            raise
+        finally:
+            for future in futures:
+                future.cancel()
 
     def _pool(self, plan: ServingPlan,
               n_batches: int) -> ProcessPoolExecutor:
         """The engine's preforked worker pool (created once)."""
         if self._executor is not None:
             return self._executor
+        # Imported here: repro.parallel pulls in the diagnosis stack,
+        # which the in-process workers=1 path never needs.
+        from ..parallel.engine import _pool_context
+        from ..parallel.fanout import usable_cpus
+
         try:
             payload = pickle.dumps(plan,
                                    protocol=pickle.HIGHEST_PROTOCOL)
@@ -469,9 +460,9 @@ class ServingEngine:
                 f"serving plan is not picklable ({exc!r}); parallel "
                 f"workers need pickle-clean programs and codecs — run "
                 f"with workers=1") from None
-        workers = min(self.options.workers, n_batches)
         self._executor = ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=max(1, min(self.options.workers, n_batches,
+                                   usable_cpus())),
             mp_context=_pool_context(),
             initializer=_init_worker,
             initargs=(payload, self.options.shared_pages))
@@ -557,5 +548,7 @@ def serve(options: ServingOptions, **engine_kwargs: Any) -> ServingResult:
 
 
 def default_workers() -> int:
-    """Host CPU count (the ``--workers 0`` CLI convention)."""
-    return os.cpu_count() or 1
+    """Usable CPU count (the ``--workers 0`` CLI convention)."""
+    from ..parallel.fanout import usable_cpus
+
+    return usable_cpus()

@@ -288,7 +288,8 @@ class TestServingSuite:
         assert "cycle_overhead_pct" in sequential.extras
         workers2 = report.result("serving_workers2")
         assert workers2.extras["workers"] == 2
-        assert "speedup_vs_sequential" in workers2.extras
+        assert "scaling_vs_workers1" in workers2.extras
+        assert "scaling_vs_workers1" not in sequential.extras
         assert "cycle_overhead_pct" in workers2.extras
 
         doc = report.to_json()

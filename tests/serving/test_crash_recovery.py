@@ -12,14 +12,18 @@ exact.
 """
 
 import json
+import multiprocessing
+import time
 from dataclasses import replace
 
 import pytest
 
 from repro.serving.engine import (
     MAX_POOL_REBUILDS,
+    ServingEngine,
     ServingError,
     ServingOptions,
+    _WorkerServeState,
     serve,
 )
 
@@ -79,3 +83,65 @@ class TestCrashRecovery:
             serve(OPTIONS)
         assert "giving up" in str(excinfo.value)
         assert str(MAX_POOL_REBUILDS) in str(excinfo.value)
+
+
+@pytest.fixture()
+def crash_queued_env(monkeypatch, tmp_path):
+    """Arm the fault injection for batch 1: every batch is submitted at
+    once, so at least six of OPTIONS' nine batches are still queued
+    behind the crash."""
+    flag = tmp_path / "crash-once"
+    monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", "1")
+    monkeypatch.setenv("REPRO_SERVE_CRASH_FLAG", str(flag))
+    return flag
+
+
+class TestCrashWhileQueued:
+    @pytest.mark.parametrize("max_admitted", [0, 2],
+                             ids=["eager", "bounded"])
+    def test_queued_batches_resubmitted_exactly_once(
+            self, crash_queued_env, max_admitted):
+        options = replace(OPTIONS, max_admitted=max_admitted)
+        oracle = serve(replace(options, workers=1))
+        crashed = serve(options)
+        assert crash_queued_env.exists(), "fault injection never fired"
+        assert canonical(crashed) == canonical(oracle)
+        indices = [batch.index for batch in crashed.batches]
+        assert indices == list(range(crashed.report["batches"]))
+        assert len(indices) >= 8
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers inherit the patched method by fork")
+class TestWorkerException:
+    def test_exception_reraised_and_queued_batches_cancelled(
+            self, monkeypatch, tmp_path):
+        """A worker that raises (rather than dies) fails the serve with
+        its own exception; the still-queued batches are cancelled, so
+        closing the pool waits only for the batches already running."""
+        served = tmp_path / "served"
+        original = _WorkerServeState.serve_batch
+
+        def serve_batch(self, index):
+            if index == 0:
+                raise ValueError("planted worker failure")
+            with open(served, "a", encoding="utf-8") as handle:
+                handle.write(f"{index}\n")
+            time.sleep(0.1)
+            return original(self, index)
+
+        monkeypatch.setattr(_WorkerServeState, "serve_batch", serve_batch)
+        options = ServingOptions(service="nginx", requests=400,
+                                 batch_size=10, workers=2)
+        engine = ServingEngine(options)
+        try:
+            with pytest.raises(ValueError, match="planted worker failure"):
+                engine.serve()
+        finally:
+            start = time.perf_counter()
+            engine.close()
+            elapsed = time.perf_counter() - start
+        n_batches = len(engine.plan.batch_versions)
+        ran = served.read_text().split() if served.exists() else []
+        assert len(ran) < n_batches // 2
+        assert elapsed < 2.0

@@ -8,17 +8,20 @@ configurations and mid-run copy-on-write table swaps, and check the
 per-worker calling-context encoding agrees with the static codec.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
 
 from repro.ccencoding import Strategy
 from repro.core.instrument import instrument
+from repro.parallel.fanout import resolve_jobs, usable_cpus
 from repro.patch import config as patch_config
 from repro.serving.engine import (
     ServingEngine,
     ServingError,
     ServingOptions,
+    default_workers,
     serve,
 )
 from repro.serving.services import nginx_body_patch, serving_registry
@@ -70,7 +73,8 @@ class TestWorkerEquivalence:
     def test_nginx_plain_run(self, nginx):
         options = ServingOptions(service="nginx", requests=REQUESTS,
                                  batch_size=BATCH)
-        report = reports_identical_modulo_workers(options, nginx, (1, 2, 3))
+        report = reports_identical_modulo_workers(options, nginx,
+                                                  (1, 2, 3, 4))
         assert report["outcomes"] == {"ok": REQUESTS}
         assert report["served"] == REQUESTS
         assert report["batches"] == 4
@@ -194,3 +198,40 @@ class TestValidation:
 
     def test_registry_lists_both_services(self):
         assert set(serving_registry()) == {"nginx", "mysql"}
+
+
+class TestCpuAffinity:
+    """CPU counts honour the affinity mask (``taskset``, cpusets), not
+    the host's CPU count, and the pool never forks past it."""
+
+    @pytest.fixture()
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+
+    def test_defaults_count_usable_cpus(self, one_cpu):
+        assert usable_cpus() == 1
+        assert default_workers() == 1
+        assert resolve_jobs(0) == 1
+        assert resolve_jobs(3) == 3
+
+    def test_host_count_without_affinity_support(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+
+    def test_oversubscribed_engine_forks_one_process(self, one_cpu,
+                                                     nginx):
+        options = ServingOptions(service="nginx", requests=REQUESTS,
+                                 batch_size=BATCH, workers=4,
+                                 attack_every=ATTACK_EVERY)
+        with ServingEngine(options, program=nginx[0],
+                           codec=nginx[1]) as engine:
+            result = engine.serve()
+            assert engine._executor._max_workers == 1
+            assert len(engine._executor._processes) == 1
+        oracle = run(replace(options, workers=1), nginx)
+        report = dict(result.report)
+        assert report.pop("workers") == 4
+        oracle.report.pop("workers")
+        assert report == oracle.report
