@@ -25,7 +25,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..machine.errors import DoubleFree, InvalidFree, OutOfMemoryError
+from ..machine.errors import (DoubleFree, InvalidFree, MapError,
+                              OutOfMemoryError)
 from ..machine.layout import (PAGE_SIZE, SIZE_MAX, is_power_of_two,
                               page_align_up)
 from ..machine.memory import VirtualMemory
@@ -216,10 +217,12 @@ class SegregatedAllocator(Allocator):
             self.stats.record_malloc_run(sizes)
             return out
         if first > MAX_CLASS and sizes.count(first) == n:
-            # Uniform large run (response bodies): page-align once, then
-            # drain the map cache LIFO before mapping fresh — the same
-            # addresses, in the same order, n ``_alloc_large`` calls
-            # would produce.
+            # Uniform large run (response bodies, buffer pools):
+            # page-align once, drain the map cache LIFO, then map the
+            # rest as one cursor-placed mapping — protections are per
+            # page, so that maps the same pages at the same addresses,
+            # in the same order, as n ``_alloc_large`` calls, and each
+            # piece still unmaps alone.
             length = page_align_up(first)
             cached = self._map_cache.get(length)
             out = []
@@ -230,7 +233,18 @@ class SegregatedAllocator(Allocator):
                 out.reverse()
                 del cached[split:]
                 self._map_cached -= take
-            mmap = self.memory.mmap
+            memory = self.memory
+            fresh = n - len(out)
+            if fresh and memory.fault_injector is None:
+                try:
+                    base = memory.mmap(fresh * length)
+                except (MapError, OutOfMemoryError):
+                    # A failed mmap maps nothing; the scalar loop below
+                    # maps the same prefix and raises at the same piece.
+                    pass
+                else:
+                    out.extend(range(base, base + fresh * length, length))
+            mmap = memory.mmap
             while len(out) < n:
                 out.append(mmap(length))
             self._objects.update(

@@ -55,14 +55,17 @@ class EncodingRuntime(ContextSource):
         self._t_stack.pop()
         self._v = self._t_stack[-1] if self._t_stack else self.codec.seed()
 
-    def at_call_site(self, site: CallSite) -> None:
-        self.sites_crossed += 1
+    def at_call_site(self, site: CallSite, count: int = 1) -> None:
+        # ``count`` crossings from one frame all mix the same ``t``, so
+        # they leave the V one crossing would and cost ``count`` updates.
+        self.sites_crossed += count
         t = self._t_stack[-1] if self._t_stack else self.codec.seed()
         if site.site_id in self.plan.sites:
             self._v = self.codec.mix(t, site)
-            self.updates_executed += 1
+            self.updates_executed += count
             if self.meter is not None:
-                self.meter.charge("encoding", self.meter.model.encode_site)
+                self.meter.charge("encoding",
+                                  self.meter.model.encode_site * count)
         else:
             self._v = t
 
@@ -100,7 +103,7 @@ class WalkedContextSource(ContextSource):
         if self._site_stack:
             self._site_stack.pop()
 
-    def at_call_site(self, site: CallSite) -> None:
+    def at_call_site(self, site: CallSite, count: int = 1) -> None:
         self._pending_site = site.site_id
 
     def current_ccid(self) -> int:

@@ -86,6 +86,8 @@ _PAGE_MASK = PAGE_SIZE - 1
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_WORDS = PAGE_SIZE >> 3
 _WORD_MASK = (1 << 64) - 1
+#: Highest page offset at which a 16-byte word pair fits in one page.
+_PAIR_LAST = PAGE_SIZE - 16
 
 
 class VirtualMemory:
@@ -180,18 +182,19 @@ class VirtualMemory:
 
         Without ``address`` the mapping is placed at the current mmap cursor
         (deterministic bump allocation).  With ``address`` the mapping is
-        fixed and must not overlap an existing mapping.
+        fixed and must not overlap an existing mapping.  A call that
+        raises changes nothing, the cursor included.
         """
         if length <= 0:
             raise MapError(f"mmap: invalid length {length}")
         if self.fault_injector is not None:
             self.fault_injector.charge("mmap")
         length = page_align_up(length)
-        if address is None:
+        placed = address is None
+        if placed:
             address = self._mmap_cursor
             if address + length > MMAP_LIMIT:
                 raise OutOfMemoryError("mmap area exhausted")
-            self._mmap_cursor = address + length
         else:
             if not is_page_aligned(address):
                 raise MapError(f"mmap: address 0x{address:x} not page aligned")
@@ -203,6 +206,8 @@ class VirtualMemory:
         if not protections.keys().isdisjoint(pages):
             pno = next(pno for pno in pages if pno in protections)
             raise MapError(f"mmap: page 0x{pno << 12:x} already mapped")
+        if placed:
+            self._mmap_cursor = address + length
         protections.update(zip(pages, repeat(prot)))
         # Freshly mapped pages were unmapped a moment ago, so they cannot
         # be sitting in the translation cache; no invalidation needed.
@@ -476,13 +481,14 @@ class VirtualMemory:
         self.write(address, (value & _WORD_MASK).to_bytes(8, "little"))
 
     def read_word_pair(self, address: int) -> Tuple[int, int]:
-        """Read two consecutive 64-bit words at a 16-aligned address.
+        """Read two consecutive 64-bit words at an 8-aligned address.
 
         One translation for both words — the shape of a boundary-tag
-        chunk-header load.  Falls back to :meth:`read` when unaligned or
-        fast paths are off.
+        chunk-header load.  Falls back to :meth:`read` when unaligned,
+        when the pair crosses a page, or when fast paths are off.
         """
-        if self.fast_paths and not address & 15 and address >= 0:
+        if (self.fast_paths and not address & 7 and address >= 0
+                and (address & _PAGE_MASK) <= _PAIR_LAST):
             pno = address >> _PAGE_SHIFT
             if pno == self._tlb_page:
                 if self._tlb_prot & PROT_READ:
@@ -510,8 +516,10 @@ class VirtualMemory:
                 int.from_bytes(data[8:], "little"))
 
     def write_word_pair(self, address: int, low: int, high: int) -> None:
-        """Write two consecutive 64-bit words at a 16-aligned address."""
-        if self.fast_paths and not address & 15 and address >= 0:
+        """Write two consecutive 64-bit words at an 8-aligned address
+        (see :meth:`read_word_pair`)."""
+        if (self.fast_paths and not address & 7 and address >= 0
+                and (address & _PAGE_MASK) <= _PAIR_LAST):
             pno = address >> _PAGE_SHIFT
             if pno == self._tlb_page:
                 if self._tlb_prot & PROT_WRITE:

@@ -39,8 +39,9 @@ class ContextSource(abc.ABC):
     def exit_function(self, name: str) -> None:
         """The process is returning from function ``name``."""
 
-    def at_call_site(self, site: CallSite) -> None:
-        """The process is about to call through ``site``."""
+    def at_call_site(self, site: CallSite, count: int = 1) -> None:
+        """The process is about to call through ``site`` (``count``
+        times in a row from the same frame, for a batched run)."""
 
 
 class NullContextSource(ContextSource):

@@ -34,6 +34,8 @@ class CoverageTracker(ContextSource):
     def __init__(self, inner: Optional[ContextSource] = None) -> None:
         self.inner = inner
         self.executed: Dict[int, int] = {}
+        #: Counting crossings has no effect on the CCID read.
+        self.pure_ccid = inner is None or inner.pure_ccid
 
     def enter_function(self, name: str) -> None:
         if self.inner is not None:
@@ -43,10 +45,11 @@ class CoverageTracker(ContextSource):
         if self.inner is not None:
             self.inner.exit_function(name)
 
-    def at_call_site(self, site: CallSite) -> None:
-        self.executed[site.site_id] = self.executed.get(site.site_id, 0) + 1
+    def at_call_site(self, site: CallSite, count: int = 1) -> None:
+        self.executed[site.site_id] = (
+            self.executed.get(site.site_id, 0) + count)
         if self.inner is not None:
-            self.inner.at_call_site(site)
+            self.inner.at_call_site(site, count)
 
     def current_ccid(self) -> int:
         if self.inner is not None:

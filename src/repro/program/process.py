@@ -131,6 +131,9 @@ class Process:
         #: constant 0, so the call/alloc protocol may skip invoking them
         #: — observationally identical, measurably faster.
         self._null_context = type(source) is NullContextSource
+        #: An impure CCID read (a counted, charged stack walk) must run
+        #: once per allocation, so batched runs replay per call.
+        self._pure_ccid = source.pure_ccid
         self._charge = self.meter.charge
         self._call_cost = self.meter.model.call
         #: (caller, callee, label) -> resolved CallSite; populated only
@@ -343,22 +346,24 @@ class Process:
         Context work (site resolution, the encoding update, the CCID
         read) happens once — valid because every allocation of the run
         flows through the same call site, so the per-call path would
-        compute the identical CCID each time (``at_call_site`` is
-        idempotent at fixed site and depth).  Profile counts, events and
-        live tracking match a per-call loop exactly.  Under a lock-step
-        scheduler the run is replayed per call so every allocation stays
-        a preemption point.
+        compute the identical CCID each time.  ``at_call_site`` is told
+        the run length, so encoding cycles, update counters and coverage
+        still count every crossing.  Profile counts, events and live
+        tracking match a per-call loop exactly.  Under a lock-step
+        scheduler, or when the CCID read is impure, the run is replayed
+        per call so every allocation stays a preemption point and reads
+        its own CCID.
         """
         if not sizes:
             return []
-        if self.scheduler is not None:
+        if self.scheduler is not None or not self._pure_ccid:
             return [self.malloc(size, site=site) for size in sizes]
         call_site = self._site(self.current_function, "malloc", site)
         self.last_alloc_site = call_site
         if self._null_context:
             ccid = 0
         else:
-            self._at_call_site(call_site)
+            self._at_call_site(call_site, len(sizes))
             ccid = self._current_ccid()
         addresses = self.monitor.heap_alloc_run("malloc", sizes)
         self.alloc_profile[("malloc", ccid)] += len(sizes)

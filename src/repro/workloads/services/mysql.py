@@ -8,6 +8,12 @@ state executes very few interposable heap calls per query.  The
 simulation reproduces exactly that character: a startup phase builds the
 buffer pool; each query then borrows pool pages and only occasionally
 (e.g. large sorts) touches ``malloc``.
+
+The pool is one batched run: one ``malloc_run`` of its pages, one
+``exec_block_run`` of their header initialization and one ``free_run``
+at teardown, observationally identical to the per-page loop of
+``malloc``, ``fill`` and ``free`` (``tests/workloads/test_mysql_startup.py``
+keeps that loop as the oracle).
 """
 
 from __future__ import annotations
@@ -62,6 +68,16 @@ def _query_block() -> BasicBlock:
 QUERY_BLOCK = _query_block()
 
 
+def _page_init_block() -> BasicBlock:
+    b = BlockBuilder()
+    b.fill(0, 0, 512, 0)  # page header initialization
+    return b.build()
+
+
+#: A pool page's startup body (arg 0 = the page), run once per page.
+PAGE_INIT_BLOCK = _page_init_block()
+
+
 class MySqlServer(Program):
     """Storage-engine worker with a startup-allocated buffer pool."""
 
@@ -86,21 +102,25 @@ class MySqlServer(Program):
     def _with_pool(self, p: Process, loop: Callable[..., Any],
                    arg: Any) -> Any:
         """Start up, run ``loop(pool, arg)`` as the query loop, tear
-        down."""
+        down: the startup and teardown both entry points share.  The
+        pool is released as one run, then the key cache, in the order a
+        per-page loop of frees would release them."""
         pool, key_cache = p.call("startup", self._startup)
         stats = p.call("query_loop", loop, pool, arg)
-        for page in pool:
-            p.free(page)
+        p.free_run(pool)
         p.free(key_cache)
         return stats
 
     def _startup(self, p: Process) -> Tuple[List[int], int]:
-        """Allocate the buffer pool and key cache once."""
-        pool = []
-        for _ in range(BUFFER_POOL_PAGES):
-            page = p.malloc(POOL_PAGE_SIZE, site="pool_page")
-            p.fill(page, 512, 0)  # page header initialization
-            pool.append(page)
+        """Allocate the buffer pool and key cache once.
+
+        The pool pages come from one ``pool_page`` run and their headers
+        are initialized by one block run; the key cache stays a scalar
+        allocation.
+        """
+        pool = p.malloc_run([POOL_PAGE_SIZE] * BUFFER_POOL_PAGES,
+                            site="pool_page")
+        p.exec_block_run(PAGE_INIT_BLOCK, [(page,) for page in pool])
         key_cache = p.malloc(128 * 1024, site="key_cache")
         p.fill(key_cache, 1024, 0)
         return pool, key_cache

@@ -22,8 +22,9 @@ from repro.defense.patch_table import PatchTable
 from repro.defense.structures import place_buffer, plan_request
 from repro.fuzz.faults import FaultInjector
 from repro.machine import DoubleFree, InvalidFree, PAGE_SIZE
-from repro.machine.errors import MapError
-from repro.machine.memory import PROT_NONE
+from repro.machine.errors import MapError, OutOfMemoryError
+from repro.machine.layout import page_align_up
+from repro.machine.memory import PROT_NONE, VirtualMemory
 from repro.patch.model import HeapPatch
 from repro.program.context import ContextSource
 from repro.program.cost import CycleMeter
@@ -70,6 +71,131 @@ class TestSegregatedMallocRun:
         again = allocator.malloc_run([LARGE] * 6)
         assert again[:4] == list(reversed(first))
         assert len(set(again)) == 6
+
+
+class CountingMemory(VirtualMemory):
+    """Counts ``mmap`` calls (the one-mapping run makes one)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.mmap_calls = 0
+
+    def mmap(self, *args, **kwargs):
+        self.mmap_calls += 1
+        return super().mmap(*args, **kwargs)
+
+
+def large_twins(map_cache=0, injector=None):
+    """Two allocators over counting memories, optionally fault-injected
+    with the same schedule."""
+    return [SegregatedAllocator(
+        CountingMemory(fault_injector=(FaultInjector(dict(injector))
+                                       if injector else None)),
+        map_cache=map_cache) for _ in range(2)]
+
+
+def scalar_large(allocator, sizes):
+    """The scalar oracle: one ``_alloc_large`` per size, stopping at the
+    first error; returns (addresses, error)."""
+    done = []
+    try:
+        for size in sizes:
+            done.append(allocator._alloc_large(size))
+    except (MapError, OutOfMemoryError) as error:
+        return done, error
+    return done, None
+
+
+def next_mmap(memory):
+    """The next cursor-placed one-page ``mmap``: its base, or its error."""
+    try:
+        return memory.mmap(PAGE_SIZE)
+    except MapError as error:
+        return str(error)
+
+
+class TestOneMappingLargeRun:
+    """A uniform large run maps its fresh buffers with one ``mmap``,
+    observationally identical to ``k`` scalar ``_alloc_large`` calls."""
+
+    @pytest.mark.parametrize("size", [LARGE, 4 * PAGE_SIZE, 16 * 1024 + 8])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_matches_scalar_calls(self, size, k):
+        batched, scalar = large_twins()
+        got = batched.malloc_run([size] * k)
+        want, error = scalar_large(scalar, [size] * k)
+        assert error is None
+        assert got == want
+        assert (list(batched.memory.iter_mappings())
+                == list(scalar.memory.iter_mappings()))
+        assert next_mmap(batched.memory) == next_mmap(scalar.memory)
+        assert batched.memory.mmap_calls == 2
+        assert scalar.memory.mmap_calls == k + 1
+
+    def test_pieces_unmap_alone(self):
+        batched, scalar = large_twins()
+        got = batched.malloc_run([LARGE] * 5)
+        want, _ = scalar_large(scalar, [LARGE] * 5)
+        for allocator, addresses in ((batched, got), (scalar, want)):
+            allocator.free(addresses[2])
+            allocator.free(addresses[0])
+        assert (list(batched.memory.iter_mappings())
+                == list(scalar.memory.iter_mappings()))
+        assert not batched.memory.is_mapped(got[2])
+        assert batched.memory.is_mapped(got[1])
+
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_injected_fault_lands_on_the_same_item(self, budget):
+        k = 5
+        batched, scalar = large_twins(injector={"mmap": budget})
+        with pytest.raises((MapError, OutOfMemoryError)) as run_error:
+            batched.malloc_run([LARGE] * k)
+        done, loop_error = scalar_large(scalar, [LARGE] * k)
+        assert len(done) == budget
+        assert type(run_error.value) is type(loop_error)
+        assert str(run_error.value) == str(loop_error)
+        assert (list(batched.memory.iter_mappings())
+                == list(scalar.memory.iter_mappings()))
+        assert (batched.memory.fault_injector.passed
+                == scalar.memory.fault_injector.passed)
+
+    def test_planted_mapping_raises_after_the_same_prefix(self):
+        length = page_align_up(LARGE)
+        batched, scalar = large_twins()
+        for allocator in (batched, scalar):
+            # Plant a fixed mapping where the run's fourth piece goes
+            # (the probe leaves the cursor one page past its base).
+            probe = allocator.memory.mmap(PAGE_SIZE)
+            allocator.memory.mmap(
+                PAGE_SIZE, address=probe + PAGE_SIZE + 3 * length)
+        with pytest.raises(MapError) as run_error:
+            batched.malloc_run([LARGE] * 5)
+        done, loop_error = scalar_large(scalar, [LARGE] * 5)
+        assert isinstance(loop_error, MapError) and len(done) == 3
+        assert str(run_error.value) == str(loop_error)
+        assert (list(batched.memory.iter_mappings())
+                == list(scalar.memory.iter_mappings()))
+        # The failed mmap left both cursors on the planted page.
+        assert next_mmap(batched.memory) == next_mmap(scalar.memory)
+        assert "already mapped" in next_mmap(batched.memory)
+
+    def test_cache_drain_then_one_mapping(self):
+        batched, scalar = large_twins(map_cache=8)
+        firsts = []
+        for allocator in (batched, scalar):
+            first = [allocator.malloc(LARGE) for _ in range(3)]
+            for address in first:
+                allocator.free(address)
+            firsts.append(first)
+        batched.memory.mmap_calls = 0
+        got = batched.malloc_run([LARGE] * 7)
+        want = [scalar.malloc(LARGE) for _ in range(7)]
+        assert got == want
+        assert got[:3] == list(reversed(firsts[0]))
+        assert batched.memory.mmap_calls == 1
+        assert (list(batched.memory.iter_mappings())
+                == list(scalar.memory.iter_mappings()))
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
 
 
 class TestSegregatedFreeRun:

@@ -180,3 +180,65 @@ class TestObservationEquivalence:
             process.run(program, 50)
             snapshots.append(process.meter.snapshot())
         assert snapshots[0] == snapshots[1]
+
+
+class WriteCountingMemory(VirtualMemory):
+    """Counts general-path ``write`` calls (fast paths never make one)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.writes = 0
+
+    def write(self, address, data):
+        self.writes += 1
+        return super().write(address, data)
+
+
+def _pair_observations(mem, offset, second_prot=PROT_RW):
+    """Write, then read back, a word pair at ``offset`` into a two-page
+    mapping whose second page has ``second_prot``."""
+    a = mem.mmap(2 * PAGE_SIZE, prot=PROT_RW)
+    mem.write_word(a + PAGE_SIZE - 8, 0x5A5A)
+    mem.mprotect(a + PAGE_SIZE, PAGE_SIZE, second_prot)
+    outcomes = []
+    for op in (lambda: mem.write_word_pair(a + offset, 0x1122, 1 << 63),
+               lambda: mem.read_word_pair(a + offset)):
+        try:
+            outcomes.append(op())
+        except SegmentationFault as fault:
+            outcomes.append(("fault", fault.address - a))
+    return (outcomes, mem.peek(a, PAGE_SIZE), mem.resident_pages,
+            mem.fault_count)
+
+
+class TestWordPairEquivalence:
+    """Word pairs take the fast path at any 8-aligned address whose 16
+    bytes lie in one page, and match ``fast_paths=False`` everywhere."""
+
+    @pytest.mark.parametrize("offset", [8, 16, 24, PAGE_SIZE - 24,
+                                        PAGE_SIZE - 16])
+    def test_in_page_pair(self, offset):
+        fast = WriteCountingMemory()
+        slow = VirtualMemory(fast_paths=False)
+        observed = _pair_observations(fast, offset)
+        assert observed == _pair_observations(slow, offset)
+        assert observed[0] == [None, (0x1122, 1 << 63)]
+        # 8-aligned, not 16-aligned, pairs no longer fall back.
+        assert fast.writes == 0
+
+    def test_pair_crossing_pages_takes_the_general_path(self):
+        fast = WriteCountingMemory()
+        slow = VirtualMemory(fast_paths=False)
+        observed = _pair_observations(fast, PAGE_SIZE - 8)
+        assert observed == _pair_observations(slow, PAGE_SIZE - 8)
+        assert observed[0] == [None, (0x1122, 1 << 63)]
+        assert fast.writes == 1
+
+    def test_pair_into_a_protected_page_faults_at_the_same_address(self):
+        fast, slow = _pair()
+        observed = _pair_observations(fast, PAGE_SIZE - 8, PROT_NONE)
+        assert observed == _pair_observations(slow, PAGE_SIZE - 8,
+                                              PROT_NONE)
+        assert observed[0] == [("fault", PAGE_SIZE), ("fault", PAGE_SIZE)]
+        # Nothing of the faulting store landed in the first page.
+        assert observed[1][-8:] == (0x5A5A).to_bytes(8, "little")
