@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class FreedBlockQueue:
         self.quota_bytes = quota_bytes
         self._queue: Deque[FreedBlock] = deque()
         self._held_bytes = 0
+        #: Addresses of the queued blocks (each is queued at most once).
+        self._addresses: Set[int] = set()
         #: Lifetime counters for reports.
         self.pushed = 0
         self.evicted = 0
@@ -55,10 +57,12 @@ class FreedBlockQueue:
             self.evicted += 1
             return [block]
         self._queue.append(block)
+        self._addresses.add(block.address)
         self._held_bytes += block.size
         evictions: List[FreedBlock] = []
         while self._held_bytes > self.quota_bytes:
             old = self._queue.popleft()
+            self._addresses.discard(old.address)
             self._held_bytes -= old.size
             self.evicted += 1
             evictions.append(old)
@@ -68,6 +72,7 @@ class FreedBlockQueue:
         """Remove and return everything (process teardown)."""
         drained = list(self._queue)
         self._queue.clear()
+        self._addresses.clear()
         self._held_bytes = 0
         return drained
 
@@ -76,7 +81,7 @@ class FreedBlockQueue:
         return list(self._queue)
 
     def __contains__(self, address: int) -> bool:
-        return any(block.address == address for block in self._queue)
+        return address in self._addresses
 
     def find(self, address: int) -> Optional[FreedBlock]:
         """The queued block at ``address``, if still quarantined."""

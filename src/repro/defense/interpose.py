@@ -21,9 +21,12 @@ Unpatched buffers still pay interposition + metadata — that is the 4.3%
 vulnerable contexts, which is the whole point of heap patches as
 configuration.
 
-Unpatched and overflow-only unaligned (Structure 2) buffers take integer
-run paths; ``plan_request``/``place_buffer``/``BufferMetadata`` lay out
-every other buffer and are those paths' oracle.
+One run core per direction serves every patch mask by integer
+arithmetic on Figure 6's word: ``_allocate_run`` (``malloc_run``, and
+every scalar allocation call as a run of one) and ``_free_words``
+(Figure 7).  Only the scalar Structure 1 ``malloc`` and ``free`` keep a
+short path.  ``plan_request``/``place_buffer``/``BufferMetadata`` are
+the reference layout the tests compare the core against.
 """
 
 from __future__ import annotations
@@ -33,30 +36,55 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..allocator.base import Allocator
 from ..allocator.stats import AllocationStats
 from ..common.fifo import FreedBlock, FreedBlockQueue
-from ..machine.errors import InvalidFree, OutOfMemoryError
+from ..machine.errors import InvalidFree, MachineError, OutOfMemoryError
 from ..machine.layout import PAGE_SHIFT, PAGE_SIZE, SIZE_MAX, is_power_of_two
 from ..machine.memory import PROT_NONE, PROT_RW
 from ..patch.model import HeapPatch
 from ..program.context import ContextSource, NullContextSource
 from ..program.cost import CycleMeter
 from ..vulntypes import VulnType
-from .metadata import METADATA_SIZE, BufferMetadata
+from .metadata import (
+    _ALIGN_MASK,
+    _ALIGN_SHIFT_OVERFLOW,
+    _ALIGN_SHIFT_PLAIN,
+    _ALIGNED_BIT,
+    _GUARD_MASK,
+    _GUARD_SHIFT,
+    _SIZE_MASK,
+    _SIZE_SHIFT,
+    _TYPE_MASK,
+    METADATA_SIZE,
+)
 from .patch_table import PatchTable
-from .structures import buffer_start, place_buffer, plan_request
+from .structures import MIN_DEFENSE_ALIGNMENT, StructureError
 
-#: Largest user size representable in the metadata word's 48-bit size
-#: field; bigger requests take the generic (validating) path.
-_MAX_INLINE_SIZE = (1 << 48) - 1
+_OVERFLOW = int(VulnType.OVERFLOW)
+_UAF = int(VulnType.USE_AFTER_FREE)
+_UNINIT = int(VulnType.UNINIT_READ)
 
-#: Bit position of the user-size field in the metadata word (Figure 6);
-#: for an unpatched, unaligned buffer the whole word is ``size << 4``.
-_METADATA_SIZE_SHIFT = 4
+#: Low nibble of a metadata word: the vulnerability bits and ALIGNED.
+#: Zero means Structure 1, whose whole word is ``user_size << 4``.
+_TAG_MASK = _TYPE_MASK | _ALIGNED_BIT
 
-#: Low nibble of a Structure 2 (overflow-only, unaligned) metadata word.
-_GUARD_TAG = int(VulnType.OVERFLOW)
+#: Request beyond metadata and user bytes that leaves room for a
+#: page-aligned guard page after the user buffer (Structures 2 and 4).
+_GUARD_SLACK = 2 * PAGE_SIZE - 1
 
-#: Structure 2's request beyond the user size (``plan_request``).
-_GUARD_SLACK = METADATA_SIZE + 2 * PAGE_SIZE - 1
+
+def _decode(user: int, word: int) -> Tuple[int, int, int]:
+    """Figure 7's ``pi`` (the underlying chunk), the guard page and the
+    user size of the buffer at ``user`` with metadata ``word``.  A
+    guarded buffer keeps its size in the guard page (size 0 here); an
+    unguarded one has guard 0."""
+    if word & _OVERFLOW:
+        guard = (word >> _GUARD_SHIFT & _GUARD_MASK) << PAGE_SHIFT
+        size, shift = 0, _ALIGN_SHIFT_OVERFLOW
+    else:
+        guard, shift = 0, _ALIGN_SHIFT_PLAIN
+        size = word >> _SIZE_SHIFT & _SIZE_MASK
+    if word & _ALIGNED_BIT:
+        return user - (1 << (word >> shift & _ALIGN_MASK)), guard, size
+    return user - METADATA_SIZE, guard, size
 
 
 class _LookupView:
@@ -112,8 +140,8 @@ class DefendedAllocator(Allocator):
         # time, so caching them turns the lookup into one dict probe.
         self._current_ccid = self.context_source.current_ccid
         #: True when even the CCID read may be elided for functions the
-        #: frozen table provably never patches (fused fast path): the
-        #: read must be a pure register read (see
+        #: frozen table provably never patches, and a run may share one
+        #: probe: the read must be a pure register read (see
         #: :attr:`~repro.program.context.ContextSource.pure_ccid`).
         self._pure_ccid = bool(getattr(self.context_source,
                                        "pure_ccid", False))
@@ -121,9 +149,9 @@ class DefendedAllocator(Allocator):
         #: a frozen per-function map, or a :class:`_LookupView`.
         self._fun_patches: Dict[str, Any] = {}
         #: The table is frozen for this allocator's lifetime, so the
-        #: fused-malloc precondition (provably no malloc patches + pure
+        #: short-path precondition (provably no malloc patches + pure
         #: CCID read) is one precomputed bool, and the hot calls the
-        #: fused paths make are prebound methods — malloc/free pay no
+        #: short paths make are prebound methods — malloc/free pay no
         #: attribute walks beyond one flag test each.
         self._fused_malloc = (not self._patches_for("malloc")
                               and self._pure_ccid)
@@ -153,35 +181,35 @@ class DefendedAllocator(Allocator):
         self.memory.mprotect(guard, PAGE_SIZE, prot)
         self._charge("defense", self.meter.model.mprotect if self.meter else 0)
 
-    def _charge_interposition(self) -> None:
+    def _charge_interposition(self, calls: int = 1) -> None:
         if self.meter is not None:
             model = self.meter.model
-            self.meter.charge("interpose", model.interpose)
-            self.meter.charge("metadata", model.metadata)
+            self.meter.charge("interpose", model.interpose * calls)
+            self.meter.charge("metadata", model.metadata * calls)
 
     # ------------------------------------------------------------------
     # Allocation family
     # ------------------------------------------------------------------
 
     def malloc(self, size: int) -> int:
-        # Fused un-patched fast path, inlined: ``malloc`` is the hottest
+        # Structure 1 short path, inlined: ``malloc`` is the hottest
         # entry point, and when the frozen table provably has no malloc
         # patches (empty per-fun map) and the CCID read is pure, the
         # whole interposition sequence collapses to one underlying call
-        # plus the metadata-word stamp.  Observation-identical to
-        # ``_allocate`` (which handles every other case).
-        meter = self.meter
-        if meter is not None:
-            model = meter.model
-            meter.charge("interpose", model.interpose)
-            meter.charge("metadata", model.metadata)
-            meter.charge("lookup", model.hash_lookup)
-        if self._fused_malloc and 0 <= size <= _MAX_INLINE_SIZE:
+        # plus the metadata-word stamp — ``_allocate_run`` of one,
+        # without building its lists.
+        if self._fused_malloc and size >= 0:
+            meter = self.meter
+            if meter is not None:
+                model = meter.model
+                meter.charge("interpose", model.interpose)
+                meter.charge("metadata", model.metadata)
+                meter.charge("lookup", model.hash_lookup)
             raw = self._underlying_malloc(METADATA_SIZE + size)
-            self._write_word(raw, size << _METADATA_SIZE_SHIFT)
+            self._write_word(raw, size << _SIZE_SHIFT)
             self._record_malloc(size)
             return raw + METADATA_SIZE
-        return self._allocate("malloc", size, _charged=meter is not None)
+        return self._allocate_run("malloc", (size,))[0]
 
     def malloc_run(self, sizes: Sequence[int]) -> List[int]:
         """Batched ``malloc``: one same-call-site run of requests.
@@ -190,51 +218,18 @@ class DefendedAllocator(Allocator):
         addresses, same stats, same cycles per category (``n`` per-call
         charges collapse into one ``n``-scaled charge) — because a run
         comes from a *single* call site: the CCID is the same for every
-        entry, so the patch probe is hoisted out of the loop.  The hoist
-        is only taken when the CCID read is pure (an impure source must
-        be read once per allocation, exactly like the per-call path).
+        entry, so the patch probe is hoisted out of the loop.
         """
-        n = len(sizes)
-        if n == 0:
+        if not sizes:
             return []
-        meter = self.meter
-        if meter is not None:
-            model = meter.model
-            meter.charge("interpose", model.interpose * n)
-            meter.charge("metadata", model.metadata * n)
-            meter.charge("lookup", model.hash_lookup * n)
-        if (self._pure_ccid and 0 <= min(sizes)
-                and max(sizes) <= _MAX_INLINE_SIZE):
-            patches = self._patches_for("malloc")
-            patch = patches.get(self._current_ccid()) if patches else None
-            if patch is None:
-                # Whole-run fast path: one batched underlying request,
-                # then stamp the metadata words in one scattered write.
-                # Uniform runs (the request-batch shape) build their
-                # size and stamp lists as C-speed repeats.
-                first = sizes[0]
-                if sizes.count(first) == n:
-                    padded = [METADATA_SIZE + first] * n
-                    stamps = [first << _METADATA_SIZE_SHIFT] * n
-                else:
-                    padded = [METADATA_SIZE + size for size in sizes]
-                    stamps = [size << _METADATA_SIZE_SHIFT
-                              for size in sizes]
-                raws = self.underlying.malloc_run(padded)
-                self.memory.write_word_scatter(raws, stamps)
-                self.stats.record_malloc_run(sizes)
-                return [raw + METADATA_SIZE for raw in raws]
-            if (patch.vuln == VulnType.OVERFLOW
-                    and self.memory.fault_injector is None):
-                # Structure 2 for the run; under a fault injector it
-                # goes per item, so faults land as in a scalar loop.
-                raws = self.underlying.malloc_run(
-                    [size + _GUARD_SLACK for size in sizes])
-                return self._guard_run("malloc", raws, sizes)
-        # Per entry: an impure CCID read (it has observable effects),
-        # sizes outside the inline range, and every other patch.
-        return [self._allocate("malloc", size, _charged=True)
-                for size in sizes]
+        if (self._pure_ccid and self.memory.fault_injector is None
+                and min(sizes) >= 0):
+            return self._allocate_run("malloc", sizes)
+        # Per call: an impure CCID read has effects and is made once per
+        # allocation, an armed fault injector must fault on the same
+        # item, and a negative size fails after the entries before it.
+        malloc = self.malloc
+        return [malloc(size) for size in sizes]
 
     def calloc(self, nmemb: int, size: int) -> int:
         if nmemb < 0 or size < 0:
@@ -245,15 +240,13 @@ class DefendedAllocator(Allocator):
             # reaches the underlying allocator.
             raise OutOfMemoryError(
                 f"calloc: {nmemb} * {size} overflows size_t")
-        return self._allocate("calloc", total, zero=True)
+        return self._allocate_run("calloc", (total,), zero=True)[0]
 
     def memalign(self, alignment: int, size: int) -> int:
-        return self._allocate("memalign", size, aligned=True,
-                              alignment=alignment)
+        return self._allocate_run("memalign", (size,), alignment)[0]
 
     def aligned_alloc(self, alignment: int, size: int) -> int:
-        return self._allocate("aligned_alloc", size, aligned=True,
-                              alignment=alignment)
+        return self._allocate_run("aligned_alloc", (size,), alignment)[0]
 
     def posix_memalign(self, alignment: int, size: int) -> int:
         if alignment % 8 or not is_power_of_two(alignment):
@@ -261,8 +254,7 @@ class DefendedAllocator(Allocator):
             # sizeof(void*); EINVAL otherwise.
             raise ValueError("posix_memalign: alignment must be a "
                              "power-of-two multiple of sizeof(void*)")
-        return self._allocate("posix_memalign", size, aligned=True,
-                              alignment=alignment)
+        return self._allocate_run("posix_memalign", (size,), alignment)[0]
 
     def _patches_for(self, fun: str):
         patches = self._fun_patches.get(fun)
@@ -275,100 +267,102 @@ class DefendedAllocator(Allocator):
             self._fun_patches[fun] = patches
         return patches
 
-    def _allocate(self, fun: str, size: int, aligned: bool = False,
-                  alignment: int = 0, zero: bool = False,
-                  _charged: bool = False) -> int:
+    def _allocate_run(self, fun: str, sizes: Sequence[int],
+                      alignment: Optional[int] = None,
+                      zero: bool = False) -> List[int]:
+        """Table I for a run of ``fun`` requests from one call site.
+
+        One patch probe picks the vulnerability mask; its OVERFLOW bit
+        and ``alignment`` (None = unaligned, the memalign family passes
+        one) pick the structure.  The underlying request is
+        metadata word (or alignment padding) + user bytes, plus
+        ``_GUARD_SLACK`` for a guard; the word is Figure 6's packing of
+        the mask, ALIGNED, log2(alignment) and either the user size or
+        the guard frame.  Zero-fill serves ``calloc`` (``zero``) and
+        UNINIT_READ; only the latter is defense cost.
+        """
+        n = len(sizes)
         meter = self.meter
-        if meter is not None and not _charged:
+        if meter is not None:
             model = meter.model
-            meter.charge("interpose", model.interpose)
-            meter.charge("metadata", model.metadata)
-            meter.charge("lookup", model.hash_lookup)
-        patches = self._fun_patches.get(fun)
-        if patches is None:
-            patches = self._patches_for(fun)
+            meter.charge("interpose", model.interpose * n)
+            meter.charge("metadata", model.metadata * n)
+            meter.charge("lookup", model.hash_lookup * n)
+        patches = self._patches_for(fun)
         if patches or not self._pure_ccid:
-            ccid = self._current_ccid()
-            patch = patches.get(ccid)
+            patch = patches.get(self._current_ccid())
         else:
-            # Fused precondition: the frozen per-function map is *empty*
-            # — no CCID of ``fun`` can match a patch — and the CCID read
-            # is a pure register read.  Skip it entirely.  (A lookup
-            # view without ``per_fun`` can never prove emptiness; it is
-            # always truthy and takes the read.)
+            # The frozen per-function map is *empty* and the CCID read
+            # is a pure register read: skip it.  (A lookup view can
+            # never prove emptiness; it is always truthy.)
             patch = None
-
-        if (patch is None and not aligned and not zero
-                and 0 <= size <= _MAX_INLINE_SIZE):
-            # Structure 1 fast path — the "zero patches" common case:
-            # no guard, no zero-fill, no alignment.  Request metadata
-            # word + user bytes, stamp the word (vuln NONE, unaligned:
-            # the encoding degenerates to ``size << 4``), done.
-            raw = self.underlying.malloc(METADATA_SIZE + size)
-            user = raw + METADATA_SIZE
-            self.memory.write_word(user - METADATA_SIZE,
-                                   size << _METADATA_SIZE_SHIFT)
-            self.stats.record_alloc(fun, size)
-            return user
-        if (patch is not None and patch.vuln == VulnType.OVERFLOW
-                and not (aligned or zero) and 0 <= size <= _MAX_INLINE_SIZE):
-            raw = self.underlying.malloc(size + _GUARD_SLACK)
-            return self._guard_run(fun, [raw], [size])[0]
-
-        vuln = patch.vuln if patch is not None else VulnType.NONE
-        plan = plan_request(vuln, aligned, alignment, size)
-        if plan.request_alignment:
-            raw = self.underlying.memalign(plan.request_alignment,
-                                           plan.request_size)
+        vuln = int(patch.vuln) & _TYPE_MASK if patch is not None else 0
+        if min(sizes) < 0:
+            raise StructureError(f"negative size {min(sizes)}")
+        guarded = vuln & _OVERFLOW
+        slack = _GUARD_SLACK if guarded else 0
+        first = sizes[0]
+        uniform = sizes.count(first) == n
+        if alignment is not None:
+            if alignment and not is_power_of_two(alignment):
+                raise StructureError(
+                    f"alignment {alignment} is not a power of two")
+            offset = max(alignment, MIN_DEFENSE_ALIGNMENT)
+            tag = vuln | _ALIGNED_BIT | (offset.bit_length() - 1) << (
+                _ALIGN_SHIFT_OVERFLOW if guarded else _ALIGN_SHIFT_PLAIN)
+            slack += offset
+            memalign = self.underlying.memalign
+            raws = [memalign(offset, size + slack) for size in sizes]
         else:
-            raw = self.underlying.malloc(plan.request_size)
-        placed = place_buffer(plan, raw, size)
-
-        metadata = BufferMetadata(
-            vuln=vuln,
-            aligned=aligned,
-            align_log2=(plan.user_alignment.bit_length() - 1
-                        if aligned else 0),
-            guard_page=placed.guard,
-            user_size=0 if placed.guard else size,
-        )
-        self.memory.write_word(placed.metadata_address, metadata.encode())
-
-        if placed.guard:
-            self._seal(fun, [raw], [placed.guard], [size])
+            tag, offset = vuln, METADATA_SIZE
+            slack += METADATA_SIZE
+            # A run of one is a plain malloc: same chunk, less work.
+            raws = ([self._underlying_malloc(first + slack)] if n == 1
+                    else self.underlying.malloc_run(
+                        [first + slack] * n if uniform
+                        else [size + slack for size in sizes]))
+        users = [raw + offset for raw in raws]
+        stamps = (raws if offset == METADATA_SIZE
+                  else [user - METADATA_SIZE for user in users])
+        if guarded:
+            guards = [(user + size + PAGE_SIZE - 1) & -PAGE_SIZE
+                      for user, size in zip(users, sizes)]
+            words = [tag | guard >> PAGE_SHIFT << _GUARD_SHIFT
+                     for guard in guards]
+        elif uniform:
+            words = [tag | first << _SIZE_SHIFT] * n
         else:
-            self.stats.record_alloc(fun, size)
-        if zero or (vuln & VulnType.UNINIT_READ):
-            if size:
-                self.memory.fill(placed.user, size, 0)
-            if not zero and self.meter is not None:
-                # calloc zeroes natively; only patch-driven zeroing is
-                # defense cost.
-                self.meter.charge(
-                    "defense", self.meter.model.zero_fill_per_byte * size)
-            if vuln & VulnType.UNINIT_READ:
-                self.enhanced_counts[VulnType.UNINIT_READ] += 1
-        if vuln & VulnType.USE_AFTER_FREE:
-            self.enhanced_counts[VulnType.USE_AFTER_FREE] += 1
-        return placed.user
-
-    def _guard_run(self, fun: str, raws: List[int],
-                   sizes: Sequence[int]) -> List[int]:
-        """Structure 2 on raw chunks of ``size + _GUARD_SLACK`` bytes:
-        ``place_buffer`` and ``BufferMetadata.encode`` as arithmetic."""
-        users = [raw + METADATA_SIZE for raw in raws]
-        guards = [(user + size + PAGE_SIZE - 1) & -PAGE_SIZE
-                  for user, size in zip(users, sizes)]
-        self.memory.write_word_scatter(raws, [
-            _GUARD_TAG | (guard >> PAGE_SHIFT) << _METADATA_SIZE_SHIFT
-            for guard in guards])
-        self._seal(fun, raws, guards, sizes)
+            words = [tag | size << _SIZE_SHIFT for size in sizes]
+        self.memory.write_word_scatter(stamps, words)
+        if guarded:
+            self._seal(fun, raws, guards, sizes)
+        else:
+            self._record(fun, sizes)
+        if zero or vuln & _UNINIT:
+            fill = self.memory.fill
+            for user, size in zip(users, sizes):
+                if size:
+                    fill(user, size, 0)
+            if not zero and meter is not None:
+                meter.charge("defense",
+                             meter.model.zero_fill_per_byte * sum(sizes))
+            if vuln & _UNINIT:
+                self.enhanced_counts[VulnType.UNINIT_READ] += n
+        if vuln & _UAF:
+            self.enhanced_counts[VulnType.USE_AFTER_FREE] += n
         return users
+
+    def _record(self, fun: str, sizes: Sequence[int]) -> None:
+        if fun == "malloc":
+            self.stats.record_malloc_run(sizes)
+        else:
+            for size in sizes:
+                self.stats.record_alloc(fun, size)
 
     def _seal(self, fun: str, raws: List[int], guards: List[int],
               sizes: Sequence[int]) -> None:
         """Store each size in its guard page, seal it, record the buffer;
-        a failed seal releases the unsealed chunks (runs are malloc)."""
+        a failed seal releases the unsealed chunks."""
         self.memory.write_word_scatter(guards, sizes)
         sealed = 0
         try:
@@ -380,29 +374,11 @@ class DefendedAllocator(Allocator):
                 self.underlying.free_run(raws[sealed:])
             if sealed:
                 self.enhanced_counts[VulnType.OVERFLOW] += sealed
-                if fun == "malloc":
-                    self.stats.record_malloc_run(sizes[:sealed])
-                else:
-                    self.stats.record_alloc(fun, sizes[0])
+                self._record(fun, sizes[:sealed])
 
     # ------------------------------------------------------------------
     # Deallocation (Figure 7)
     # ------------------------------------------------------------------
-
-    def _read_metadata(self, user: int) -> Tuple[BufferMetadata, int]:
-        """Decode the metadata word; returns (metadata, user_size).
-
-        For guarded buffers the guard page is made accessible first (the
-        user size lives in its first word) — step (1) of Figure 7.
-        """
-        word = self.memory.read_word(user - METADATA_SIZE)
-        metadata = BufferMetadata.decode(word)
-        if metadata.has_guard:
-            self._protect(metadata.guard_page, PROT_RW)
-            user_size = self.memory.read_word(metadata.guard_page)
-        else:
-            user_size = metadata.user_size
-        return metadata, user_size
 
     def free(self, address: int) -> None:
         if self.meter is not None:
@@ -410,119 +386,131 @@ class DefendedAllocator(Allocator):
         if address == 0:
             return
         word = self._read_word(address - METADATA_SIZE)
-        if not word & 0xF:
-            # Fused un-patched fast path: vuln NONE + unaligned means no
+        if not word & _TAG_MASK:
+            # Structure 1 short path: vuln NONE + unaligned means no
             # guard page, no quarantine, align_log2 0 — the whole word
             # is ``user_size << 4``.  Free without decoding (Figure 7
             # collapses to its degenerate first row).
-            self._record_free(word >> _METADATA_SIZE_SHIFT)
+            self._record_free(word >> _SIZE_SHIFT)
             self._underlying_free(address - METADATA_SIZE)
             return
-        if word & 0xF == _GUARD_TAG:
-            self._free_guarded([address - METADATA_SIZE], [word])
-            return
-        self._free_decoded(address)
-
-    def _free_guarded(self, raws: List[int], words: List[int]) -> None:
-        """Figure 7 for Structure 2 words: unseal each guard, gather the
-        sizes, release the chunks (on a failed unseal, the prefix)."""
-        guards = [word >> _METADATA_SIZE_SHIFT << PAGE_SHIFT for word in words]
-        unsealed = 0
-        try:
-            for guard in guards:
-                self._protect(guard, PROT_RW)
-                unsealed += 1
-        finally:
-            if unsealed:
-                guards = guards[:unsealed]
-                self._release_run(raws[:unsealed],
-                                  self.memory.read_word_gather(guards))
-
-    def _release_run(self, raws: List[int], sizes: List[int]) -> None:
-        """Release chunks in one underlying run and record their user
-        sizes; a bad free records the frees through it, as scalar does."""
-        try:
-            self.underlying.free_run(raws)
-        except InvalidFree as exc:
-            self.stats.record_free_run(sizes[:raws.index(exc.address) + 1])
-            raise
-        self.stats.record_free_run(sizes)
-
-    def _free_decoded(self, address: int, decoded: Optional[
-            Tuple[BufferMetadata, int]] = None) -> None:
-        """The decoding free path (guard unseal, quarantine, Figure 7).
-
-        Interposition must already have been charged; shared by
-        :meth:`free` and :meth:`free_run` for buffers whose metadata word
-        carries flags; :meth:`realloc` passes its own ``decoded``.
-        """
-        metadata, user_size = decoded or self._read_metadata(address)
-        raw = buffer_start(address, metadata.aligned, metadata.alignment)
-        if metadata.has_guard:
-            region_size = metadata.guard_page + PAGE_SIZE - raw
-        else:
-            region_size = (address - raw) + user_size
-        self.stats.record_free(user_size)
-        if metadata.vuln & VulnType.USE_AFTER_FREE:
-            self._charge("defense", self.meter.model.quarantine_op
-                         if self.meter else 0)
-            evictions = self.quarantine.push(
-                FreedBlock(raw, region_size, None))
-            for block in evictions:
-                self.underlying.free(block.address)
-        else:
-            self.underlying.free(raw)
+        self._free_words((address,), (word,))
 
     def free_run(self, addresses: Sequence[int]) -> None:
         """Batched ``free``: observation-identical to per-call frees."""
-        n = len(addresses)
-        if n == 0:
+        if not addresses:
             return
-        raws = [address - METADATA_SIZE for address in addresses if address]
-        if len(set(raws)) < len(raws):
-            # A buffer freed twice in one run: which of its frees fails
-            # depends on whether it was live before, so go scalar.
+        users = [address for address in addresses if address]
+        words = None
+        if len(set(users)) == len(users):
+            try:
+                words = self.memory.read_word_gather(
+                    [user - METADATA_SIZE for user in users])
+            except MachineError:
+                pass
+        if words is None:
+            # A buffer freed twice in one run (which of its frees fails
+            # depends on whether it was live before), or an unreadable
+            # word: the scalar loop decides where the run stops.
             for address in addresses:
                 self.free(address)
             return
-        meter = self.meter
-        if meter is not None:
-            model = meter.model
-            meter.charge("interpose", model.interpose * n)
-            meter.charge("metadata", model.metadata * n)
-        words = self.memory.read_word_gather(raws)
-        # Consecutive plain words go out as one batch, consecutive
-        # Structure 2 words as another; others decode in place.  The
-        # underlying thus sees every release in run order, and a bad
-        # free stops the run where the scalar loop would.
-        pending: List[int] = []
-        pending_words: List[int] = []
-        pending_tag = 0
-        for raw, word in zip(raws, words):
-            tag = word & 0xF
-            if tag != pending_tag:
-                self._flush_frees(pending, pending_words, pending_tag)
-                pending, pending_words = [], []
-                if tag != _GUARD_TAG:
-                    pending_tag = 0
-                    self._free_decoded(raw + METADATA_SIZE)
-                    continue
-                pending_tag = tag
-            pending.append(raw)
-            pending_words.append(word)
-        self._flush_frees(pending, pending_words, pending_tag)
+        self._free_words(users, words, addresses)
 
-    def _flush_frees(self, raws: List[int], words: List[int],
-                     tag: int) -> None:
-        """Release :meth:`free_run`'s pending batch of one tag (plain or
-        Structure 2; possibly empty)."""
-        if not raws:
-            return
-        if tag:
-            self._free_guarded(raws, words)
-        else:
-            self._release_run(raws, [word >> _METADATA_SIZE_SHIFT
-                                     for word in words])
+    def _free_words(self, users: Sequence[int], words: Sequence[int],
+                    run: Optional[Sequence[int]] = None,
+                    unsealed: bool = False) -> None:
+        """Figure 7 for ``users`` by their metadata ``words``, in order.
+
+        A guard is unsealed (unless realloc did it) to read the user
+        size.  A USE_AFTER_FREE buffer goes to the quarantine, unless it
+        is still there (a double free, absorbed).  Every other chunk
+        joins one underlying release, flushed before each quarantine
+        push, so the underlying sees the scalar loop's order.  ``run``,
+        the caller's addresses, asks to charge interposition for the
+        entries reached: all, or those up to the one whose free raised.
+        """
+        chunks: List[int] = []
+        sizes: List[int] = []
+        head = 0  # index of chunks[0] in users
+        k = 0
+        done = False
+        try:
+            plain = 0  # start of the untagged span before entry k
+            tagged = [i for i, word in enumerate(words) if word & _TAG_MASK]
+            for k in tagged + [len(words)]:
+                if plain < k:
+                    chunks += [user - METADATA_SIZE for user in users[plain:k]]
+                    sizes += [word >> _SIZE_SHIFT for word in words[plain:k]]
+                if k == len(words):
+                    break
+                plain = k + 1
+                user, word = users[k], words[k]
+                raw, guard, size = _decode(user, word)
+                uaf = word & _UAF
+                if uaf:
+                    if chunks:
+                        self._release(chunks, sizes)
+                        chunks, sizes = [], []
+                    head = k + 1
+                    if raw in self.quarantine:
+                        continue  # still quarantined: a double free
+                if guard:
+                    if not unsealed:
+                        try:
+                            self._protect(guard, PROT_RW)
+                        except MachineError:
+                            if chunks:  # the scalar loop freed them first
+                                self._release(chunks, sizes)
+                            raise
+                    size = self._read_word(guard)
+                    end = guard + PAGE_SIZE
+                else:
+                    end = user + size
+                if uaf:
+                    self._record_free(size)
+                    self._charge("defense", self.meter.model.quarantine_op
+                                 if self.meter else 0)
+                    evicted = self.quarantine.push(
+                        FreedBlock(raw, end - raw, None))
+                    if evicted:
+                        self.underlying.free_run(
+                            [block.address for block in evicted])
+                    continue
+                chunks.append(raw)
+                sizes.append(size)
+            if chunks:
+                self._release(chunks, sizes)
+            done = True
+        except InvalidFree as exc:
+            if exc.address in chunks:
+                k = head + chunks.index(exc.address)
+                # The scalar loop never reached the chunks after the bad
+                # one: reseal the guards unsealed for them, uncharged,
+                # so those buffers stay live as they were.
+                for i in range(k + 1, head + len(chunks)):
+                    guard = _decode(users[i], words[i])[1]
+                    if guard:
+                        self.memory.mprotect(guard, PAGE_SIZE, PROT_NONE)
+                        self._charge("defense", -self.meter.model.mprotect
+                                     if self.meter else 0)
+            raise
+        finally:
+            if run is not None and self.meter is not None:
+                self._charge_interposition(
+                    len(run) if done else
+                    [i for i, address in enumerate(run) if address][k] + 1)
+
+    def _release(self, chunks: List[int], sizes: List[int]) -> None:
+        """Release chunks in one underlying run and record their user
+        sizes; a bad free records the frees through it, as scalar does."""
+        try:
+            self.underlying.free_run(chunks)
+        except InvalidFree as exc:
+            self.stats.record_free_run(
+                sizes[:chunks.index(exc.address) + 1])
+            raise
+        self.stats.record_free_run(sizes)
 
     # ------------------------------------------------------------------
     # Patch-table swap (read-mostly shared tables, copy-on-write)
@@ -561,34 +549,38 @@ class DefendedAllocator(Allocator):
 
     def realloc(self, address: int, size: int) -> int:
         if address == 0:
-            return self._allocate("realloc", size)
+            return self._allocate_run("realloc", (size,))[0]
         if size == 0:
             self.free(address)
             return 0
         self._charge_interposition()
-        decoded = metadata, old_size = self._read_metadata(address)
+        word = self._read_word(address - METADATA_SIZE)
+        _, guard, old_size = _decode(address, word)
+        if guard:
+            self._protect(guard, PROT_RW)
+            old_size = self._read_word(guard)
         try:
-            new_user = self._allocate("realloc", size)
+            new_user = self._allocate_run("realloc", (size,))[0]
         except Exception:
-            if metadata.has_guard:  # the old buffer stays live: reseal
-                self._protect(metadata.guard_page, PROT_NONE)
+            if guard:  # the old buffer stays live: reseal
+                self._protect(guard, PROT_NONE)
             raise
         keep = min(old_size, size)
         if keep:
             self.memory.write(new_user, self.memory.read(address, keep))
         self._charge_interposition()  # free the old buffer
-        self._free_decoded(address, decoded)
+        self._free_words((address,), (word,), unsealed=True)
         return new_user
 
     def malloc_usable_size(self, address: int) -> int:
         if address == 0:
             return 0
         word = self.memory.read_word(address - METADATA_SIZE)
-        metadata = BufferMetadata.decode(word)
-        if not metadata.has_guard:
-            return metadata.user_size
+        _, guard, size = _decode(address, word)
+        if not guard:
+            return size
         # Reading the size requires briefly unsealing the guard page.
-        self.memory.mprotect(metadata.guard_page, PAGE_SIZE, PROT_RW)
-        user_size = self.memory.read_word(metadata.guard_page)
-        self.memory.mprotect(metadata.guard_page, PAGE_SIZE, PROT_NONE)
+        self.memory.mprotect(guard, PAGE_SIZE, PROT_RW)
+        user_size = self.memory.read_word(guard)
+        self.memory.mprotect(guard, PAGE_SIZE, PROT_NONE)
         return user_size

@@ -11,20 +11,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.allocator.base import ALLOCATION_FUNCTIONS
 from repro.allocator.libc import LibcAllocator
 from repro.allocator.segregated import (
     MAX_CLASS,
     SegregatedAllocator,
 )
-from repro.defense.interpose import DefendedAllocator
+from repro.allocator.stats import AllocationStats
+from repro.common.fifo import FreedBlock, FreedBlockQueue
+from repro.defense.interpose import DEFAULT_ONLINE_QUOTA, DefendedAllocator
 from repro.defense.metadata import METADATA_SIZE, BufferMetadata
 from repro.defense.patch_table import PatchTable
-from repro.defense.structures import place_buffer, plan_request
+from repro.defense.structures import buffer_start, place_buffer, plan_request
 from repro.fuzz.faults import FaultInjector
 from repro.machine import DoubleFree, InvalidFree, PAGE_SIZE
 from repro.machine.errors import MapError, OutOfMemoryError
 from repro.machine.layout import page_align_up
-from repro.machine.memory import PROT_NONE, VirtualMemory
+from repro.machine.memory import PROT_NONE, PROT_RW, VirtualMemory
 from repro.patch.model import HeapPatch
 from repro.program.context import ContextSource
 from repro.program.cost import CycleMeter
@@ -389,7 +392,7 @@ class TestDefendedRuns:
 
 
 # ----------------------------------------------------------------------
-# Structure 2 run path: differential against scalar calls and the
+# The interposer's run core: differential against scalar calls and the
 # plan_request / place_buffer / BufferMetadata oracle
 # ----------------------------------------------------------------------
 
@@ -397,23 +400,157 @@ OVERFLOW = VulnType.OVERFLOW
 UAF = VulnType.USE_AFTER_FREE
 UNINIT = VulnType.UNINIT_READ
 #: CCIDs of the differential tests' contexts.
-RUN_CCID, UAF_CCID, PLAIN_CCID = 0x42, 0x43, 0x44
+RUN_CCID, UAF_CCID, PLAIN_CCID, GUARD_CCID = 0x42, 0x43, 0x44, 0x45
 
 
 class _PureContext(_FixedContext):
     """A settable CCID read as a pure register read, so ``malloc_run``
-    hoists the patch probe and may take its run paths."""
+    hoists the patch probe and serves the run in one core call."""
 
     pure_ccid = True
 
 
-def metered_twins(make_underlying, patches, context=_PureContext):
+def metered_twins(make_underlying, patches, context=_PureContext,
+                  quota=DEFAULT_ONLINE_QUOTA):
     """Two defended allocators over fresh, deterministic memory."""
     def make():
         return DefendedAllocator(make_underlying(), PatchTable(patches),
                                  context_source=context(RUN_CCID),
-                                 meter=CycleMeter())
+                                 meter=CycleMeter(), quarantine_quota=quota)
     return make(), make()
+
+
+class GenericOracle:
+    """Table I and Figure 7 one buffer at a time, the reference way.
+
+    Layout through ``plan_request``/``place_buffer``, the metadata word
+    through ``BufferMetadata.encode``, ``free`` through
+    ``BufferMetadata.decode``/``buffer_start``; the interposer's charges,
+    stats, quarantine and underlying calls.  It has the scalar API the
+    differential drives and what :func:`state`/:func:`layout` read.
+    """
+
+    def __init__(self, underlying, patches, quota=DEFAULT_ONLINE_QUOTA):
+        self.underlying = underlying
+        self.memory = underlying.memory
+        self.table = PatchTable(patches)
+        self.context_source = _PureContext(RUN_CCID)
+        self.meter = CycleMeter()
+        self.stats = AllocationStats()
+        self.quarantine = FreedBlockQueue(quota)
+        self.enhanced_counts = {OVERFLOW: 0, UAF: 0, UNINIT: 0}
+
+    def _enter(self, lookup=False):
+        model = self.meter.model
+        self.meter.charge("interpose", model.interpose)
+        self.meter.charge("metadata", model.metadata)
+        if lookup:
+            self.meter.charge("lookup", model.hash_lookup)
+
+    def _protect(self, guard, prot):
+        self.memory.mprotect(guard, PAGE_SIZE, prot)
+        self.meter.charge("defense", self.meter.model.mprotect)
+
+    def _allocate(self, fun, size, alignment=None, zero=False):
+        """``alignment`` None: unaligned (Structures 1 and 2)."""
+        self._enter(lookup=True)
+        patch = self.table.lookup(fun, self.context_source.ccid)
+        vuln = patch.vuln if patch is not None else VulnType.NONE
+        aligned = alignment is not None
+        plan = plan_request(vuln, aligned, alignment or 0, size)
+        if plan.request_alignment:
+            raw = self.underlying.memalign(plan.request_alignment,
+                                           plan.request_size)
+        else:
+            raw = self.underlying.malloc(plan.request_size)
+        placed = place_buffer(plan, raw, size)
+        log2 = plan.user_alignment.bit_length() - 1 if aligned else 0
+        self.memory.write_word(placed.metadata_address, BufferMetadata(
+            vuln, aligned, log2, placed.guard,
+            0 if placed.guard else size).encode())
+        if placed.guard:
+            self.memory.write_word(placed.guard, size)
+            self._protect(placed.guard, PROT_NONE)
+            self.enhanced_counts[OVERFLOW] += 1
+        self.stats.record_alloc(fun, size)
+        if zero or vuln & UNINIT:
+            if size:
+                self.memory.fill(placed.user, size, 0)
+            if not zero:
+                self.meter.charge(
+                    "defense", self.meter.model.zero_fill_per_byte * size)
+            if vuln & UNINIT:
+                self.enhanced_counts[UNINIT] += 1
+        if vuln & UAF:
+            self.enhanced_counts[UAF] += 1
+        return placed.user
+
+    def malloc(self, size):
+        return self._allocate("malloc", size)
+
+    def calloc(self, nmemb, size):
+        return self._allocate("calloc", nmemb * size, zero=True)
+
+    def memalign(self, alignment, size):
+        return self._allocate("memalign", size, alignment)
+
+    def aligned_alloc(self, alignment, size):
+        return self._allocate("aligned_alloc", size, alignment)
+
+    def posix_memalign(self, alignment, size):
+        return self._allocate("posix_memalign", size, alignment)
+
+    def _decode(self, user):
+        """Figure 7, step 1: the metadata, its chunk, and the user size
+        (a guard is unsealed to read it)."""
+        meta = BufferMetadata.decode(
+            self.memory.read_word(user - METADATA_SIZE))
+        raw = buffer_start(user, meta.aligned, meta.alignment)
+        if meta.vuln & UAF and raw in self.quarantine:
+            return meta, raw, None  # still quarantined: absorbed
+        if not meta.has_guard:
+            return meta, raw, meta.user_size
+        self._protect(meta.guard_page, PROT_RW)
+        return meta, raw, self.memory.read_word(meta.guard_page)
+
+    def _release(self, user, decoded):
+        meta, raw, size = decoded
+        if size is None:
+            return
+        self.stats.record_free(size)
+        if not meta.vuln & UAF:
+            self.underlying.free(raw)
+            return
+        end = meta.guard_page + PAGE_SIZE if meta.has_guard else user + size
+        self.meter.charge("defense", self.meter.model.quarantine_op)
+        for block in self.quarantine.push(FreedBlock(raw, end - raw)):
+            self.underlying.free(block.address)
+
+    def free(self, user):
+        self._enter()
+        if user:
+            self._release(user, self._decode(user))
+
+    def realloc(self, user, size):
+        if user == 0:
+            return self._allocate("realloc", size)
+        if size == 0:
+            self.free(user)
+            return 0
+        self._enter()
+        decoded = meta, _, old_size = self._decode(user)
+        try:
+            new_user = self._allocate("realloc", size)
+        except Exception:
+            if meta.has_guard:
+                self._protect(meta.guard_page, PROT_NONE)
+            raise
+        keep = min(old_size or 0, size)
+        if keep:
+            self.memory.write(new_user, self.memory.read(user, keep))
+        self._enter()
+        self._release(user, decoded)
+        return new_user
 
 
 def layout(allocator, users):
@@ -429,7 +566,7 @@ def layout(allocator, users):
 
 
 def state(allocator):
-    """Every allocator-level observable the run paths must preserve."""
+    """Every allocator-level observable the run core must preserve."""
     return {
         "mprotects": allocator.memory.mprotect_count,
         "stats": allocator.stats.snapshot(),
@@ -441,47 +578,6 @@ def state(allocator):
     }
 
 
-def assert_matches_generic(make_underlying, sizes):
-    """A Structure 2 run against the generic machinery it replaces.
-
-    ``calloc`` under a calloc OVERFLOW patch lays the same Structure 2
-    out through ``plan_request``/``place_buffer``/``BufferMetadata``
-    (calloc zeroes natively, so no defense cost is added), and
-    ``_free_decoded`` is the generic Figure 7.  Only the entry-point
-    counters may differ.
-    """
-    run, generic = metered_twins(make_underlying, [
-        HeapPatch("malloc", RUN_CCID, OVERFLOW),
-        HeapPatch("calloc", RUN_CCID, OVERFLOW)])
-    users = run.malloc_run(sizes)
-    oracle = [generic.calloc(1, size) for size in sizes]
-    assert users == oracle
-    words, guard_words, protections = layout(run, users)
-    assert (words, guard_words, protections) == layout(generic, oracle)
-    for user, size, word in zip(users, sizes, words):
-        placed = place_buffer(plan_request(OVERFLOW, False, 0, size),
-                              user - METADATA_SIZE, size)
-        assert word == BufferMetadata(OVERFLOW, False, 0, placed.guard,
-                                      0).encode()
-    assert guard_words == [size.to_bytes(8, "little") for size in sizes]
-    assert protections == [PROT_NONE] * len(sizes)
-
-    def compare():
-        got, want = state(run), state(generic)
-        assert got["stats"].pop("malloc") == want["stats"].pop("calloc")
-        assert got["stats"].pop("calloc") == want["stats"].pop("malloc")
-        assert got == want
-
-    compare()
-    run.free_run(users)
-    for address in oracle:
-        generic._charge_interposition()  # what ``free`` charges first
-        generic._free_decoded(address)
-    compare()
-    assert run.meter.category("defense") == (
-        2 * len(sizes) * run.meter.model.mprotect)
-
-
 UNDERLYING = {"libc": LibcAllocator, "segregated": SegregatedAllocator}
 MASKS = [OVERFLOW, UAF, UNINIT, OVERFLOW | UAF, OVERFLOW | UNINIT,
          UAF | UNINIT, OVERFLOW | UAF | UNINIT]
@@ -490,37 +586,134 @@ SIZE = st.integers(0, 3 * PAGE_SIZE)
 RUN = st.one_of(
     st.tuples(SIZE, st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
     st.lists(SIZE, min_size=1, max_size=12))
+#: A realloc request the underlying allocator cannot serve.
+HUGE = 1 << 47
+
+
+def scalar_call(allocator, fun, size, alignment):
+    """One scalar ``fun`` call for ``size`` bytes."""
+    if fun in ALIGNED_FUNS:
+        return getattr(allocator, fun)(alignment, size)
+    if fun == "calloc":
+        return allocator.calloc(1, size)
+    if fun == "realloc":
+        return allocator.realloc(0, size)
+    return allocator.malloc(size)
+
+
+def core_run(allocator, fun, sizes, alignment):
+    """One run core call for ``sizes`` (``malloc_run`` for malloc)."""
+    if fun == "malloc":
+        return allocator.malloc_run(sizes)
+    return allocator._allocate_run(
+        fun, sizes, alignment if fun in ALIGNED_FUNS else None,
+        zero=fun == "calloc")
+
+
+def set_ccid(allocators, ccid):
+    for allocator in allocators:
+        allocator.context_source.ccid = ccid
+
+
+def assert_matches_generic(make_underlying, sizes):
+    """A Structure 2 run against the generic oracle, word by word."""
+    patches = [HeapPatch("malloc", RUN_CCID, OVERFLOW)]
+    run, _ = metered_twins(make_underlying, patches)
+    oracle = GenericOracle(make_underlying(), patches)
+    users = run.malloc_run(sizes)
+    assert users == [oracle.malloc(size) for size in sizes]
+    words, guard_words, protections = layout(run, users)
+    assert (words, guard_words, protections) == layout(oracle, users)
+    for user, size, word in zip(users, sizes, words):
+        placed = place_buffer(plan_request(OVERFLOW, False, 0, size),
+                              user - METADATA_SIZE, size)
+        assert word == BufferMetadata(OVERFLOW, False, 0, placed.guard,
+                                      0).encode()
+    assert guard_words == [size.to_bytes(8, "little") for size in sizes]
+    assert protections == [PROT_NONE] * len(sizes)
+    assert state(run) == state(oracle)
+    run.free_run(users)
+    for user in users:
+        oracle.free(user)
+    assert state(run) == state(oracle)
+    assert run.meter.category("defense") == (
+        2 * len(sizes) * run.meter.model.mprotect)
 
 
 class TestStructure2Runs:
+    """The interposer's one run core, every Table I structure (the
+    class name predates Structures 1, 3 and 4 joining the core)."""
+
     @given(underlying=st.sampled_from(sorted(UNDERLYING)),
-           mask=st.sampled_from(MASKS), sizes=RUN,
-           aligned_fun=st.sampled_from(ALIGNED_FUNS),
-           aligned_mask=st.sampled_from([VulnType.NONE] + MASKS))
-    def test_run_matches_scalar_calls(self, underlying, mask, sizes,
-                                      aligned_fun, aligned_mask):
-        patches = [HeapPatch("malloc", RUN_CCID, mask)]
-        if aligned_mask:
-            patches.append(HeapPatch(aligned_fun, RUN_CCID, aligned_mask))
-        batched, scalar = metered_twins(UNDERLYING[underlying], patches)
-        got = batched.malloc_run(sizes)
-        want = [scalar.malloc(size) for size in sizes]
-        assert got == want
-        assert layout(batched, got) == layout(scalar, want)
-        assert state(batched) == state(scalar)
-        # A memalign-family buffer joins the free run (Structures 3/4
-        # decode in place); frees then compare like the allocations.
-        got.append(getattr(batched, aligned_fun)(64, 100))
-        want.append(getattr(scalar, aligned_fun)(64, 100))
-        assert got == want
-        batched.free_run(got)
-        for address in want:
-            scalar.free(address)
-        assert state(batched) == state(scalar)
+           fun=st.sampled_from(ALLOCATION_FUNCTIONS),
+           mask=st.sampled_from([VulnType.NONE] + MASKS), sizes=RUN,
+           alignment=st.sampled_from([8, 64, PAGE_SIZE]),
+           realloc_size=st.sampled_from([0, 24, 5000, HUGE]),
+           data=st.data())
+    def test_run_matches_scalar_calls(self, underlying, fun, mask, sizes,
+                                      alignment, realloc_size, data):
+        """The core, the scalar calls and the generic oracle agree on
+        every mask, allocation function and underlying allocator: after
+        the run, after a shuffled free run mixing it with plain, guarded
+        (realloc'd, or left by a failed realloc), quarantined and NULL
+        entries, and on the next run's addresses."""
+        patches = [HeapPatch("malloc", UAF_CCID, UAF),
+                   HeapPatch("malloc", GUARD_CCID, OVERFLOW | UNINIT)]
+        if mask:
+            patches.append(HeapPatch(fun, RUN_CCID, mask))
+        make = UNDERLYING[underlying]
+        trio = (*metered_twins(make, patches),
+                GenericOracle(make(), patches))
+        core = trio[0]
+        extras = []
+        for allocator in trio:
+            # Two buffers already quarantined (their frees are absorbed),
+            # a plain one, and a guarded one realloc'd under RUN_CCID.
+            set_ccid([allocator], UAF_CCID)
+            quarantined = [allocator.malloc(40) for _ in range(2)]
+            for user in quarantined:
+                allocator.free(user)
+            set_ccid([allocator], PLAIN_CCID)
+            plain = allocator.malloc(64)
+            set_ccid([allocator], GUARD_CCID)
+            guarded = allocator.malloc(100)
+            allocator.memory.write(guarded, bytes(range(100)))
+            set_ccid([allocator], RUN_CCID)
+            try:
+                guarded = allocator.realloc(guarded, realloc_size)
+            except OutOfMemoryError:
+                assert realloc_size == HUGE
+            if guarded:
+                kept = min(100, realloc_size)
+                assert allocator.memory.read(guarded, kept) \
+                    == bytes(range(kept))
+            extras.append(quarantined + [plain, guarded, 0])
+        assert extras[0] == extras[1] == extras[2]
+        assert state(trio[0]) == state(trio[1]) == state(trio[2])
+
+        got = core_run(core, fun, sizes, alignment)
+        want = [scalar_call(trio[1], fun, size, alignment) for size in sizes]
+        ref = [scalar_call(trio[2], fun, size, alignment) for size in sizes]
+        assert got == want == ref
+        assert layout(core, got) == layout(trio[1], want) \
+            == layout(trio[2], ref)
+        assert state(core) == state(trio[1]) == state(trio[2])
+
+        addresses = got + extras[0]
+        order = data.draw(st.permutations(range(len(addresses))))
+        core.free_run([addresses[i] for i in order])
+        for allocator in trio[1:]:
+            for i in order:
+                allocator.free(addresses[i])
+        assert state(core) == state(trio[1]) == state(trio[2])
+        assert core.stats.live_buffers == 0
         # Same release order, same allocator state: the next run lands
         # on the same addresses.
-        assert batched.malloc_run(sizes) == [scalar.malloc(size)
-                                             for size in sizes]
+        assert core_run(core, fun, sizes, alignment) \
+            == [scalar_call(trio[1], fun, size, alignment)
+                for size in sizes] \
+            == [scalar_call(trio[2], fun, size, alignment)
+                for size in sizes]
 
     @given(underlying=st.sampled_from(sorted(UNDERLYING)), sizes=RUN)
     def test_run_matches_the_generic_oracle(self, underlying, sizes):
@@ -550,17 +743,19 @@ class TestStructure2Runs:
            data=st.data())
     def test_mixed_free_run_matches_scalar_frees(self, underlying, data):
         """Plain, Structure 2, UAF-quarantined and multi-flag buffers,
-        freed in one shuffled run: one partition loop, scalar results."""
+        freed in one shuffled run under a small quarantine quota, so
+        pushes evict mid-run: scalar results."""
         patches = [HeapPatch("malloc", RUN_CCID, OVERFLOW),
                    HeapPatch("malloc", UAF_CCID, UAF),
                    HeapPatch("malloc", UAF_CCID + 10, OVERFLOW | UAF)]
-        batched, scalar = metered_twins(UNDERLYING[underlying], patches)
+        batched, scalar = metered_twins(UNDERLYING[underlying], patches,
+                                        quota=4 * PAGE_SIZE)
         ccids = (RUN_CCID, UAF_CCID, UAF_CCID + 10, PLAIN_CCID)
         runs = data.draw(st.lists(st.tuples(st.sampled_from(ccids), RUN),
                                   min_size=1, max_size=4))
         got, want = [], []
         for ccid, sizes in runs:
-            batched.context_source.ccid = scalar.context_source.ccid = ccid
+            set_ccid((batched, scalar), ccid)
             got += batched.malloc_run(sizes)
             want += [scalar.malloc(size) for size in sizes]
         assert got == want
@@ -576,9 +771,7 @@ class TestStructure2Runs:
     def test_seal_fault_lands_on_the_same_item(self, underlying, budget):
         """Under an armed injector the run is served per item: it fails
         at the same item, with the same typed error, leaving the same
-        allocator state as the scalar loop.  (Only the per-call charges
-        differ: a run charges interposition for all of its entries on
-        entry, the loop for the calls it got to.)"""
+        allocator state as the scalar loop, cycles included."""
         batched, scalar = metered_twins(
             UNDERLYING[underlying], [HeapPatch("malloc", RUN_CCID, OVERFLOW)])
         injectors = []
@@ -595,10 +788,7 @@ class TestStructure2Runs:
                 done.append(scalar.malloc(size))
         assert len(done) == budget
         assert str(run_error.value) == str(loop_error.value)
-        run_state, loop_state = state(batched), state(scalar)
-        assert (run_state.pop("cycles").get("defense")
-                == loop_state.pop("cycles").get("defense"))
-        assert run_state == loop_state
+        assert state(batched) == state(scalar)
         assert batched.stats.live_buffers == budget
         assert batched.underlying.live_buffer_count == budget
         assert injectors[0].passed == injectors[1].passed
@@ -608,3 +798,85 @@ class TestStructure2Runs:
         assert batched.malloc_run(sizes) == [scalar.malloc(size)
                                              for size in sizes]
         assert layout(batched, done) == layout(scalar, done)
+
+    def test_rejected_free_leaves_later_guards_sealed(self):
+        """The underlying rejects entry 1 of a Structure 2 free run (its
+        chunk was freed behind the interposer): the run stops there, as
+        the scalar loop does, and the later buffers stay live with
+        sealed guards, charged for nothing, and free normally later.
+        Only the ``mprotect`` count differs: the run unsealed them
+        before its one underlying release, then resealed them."""
+        batched, scalar = metered_twins(
+            LibcAllocator, [HeapPatch("malloc", RUN_CCID, OVERFLOW)])
+        runs = []
+        for allocator in (batched, scalar):
+            users = allocator.malloc_run([100] * 4)
+            allocator.underlying.free(users[1] - METADATA_SIZE)
+            runs.append(users)
+        with pytest.raises(InvalidFree):
+            batched.free_run(runs[0])
+        with pytest.raises(InvalidFree):
+            for user in runs[1]:
+                scalar.free(user)
+        assert runs[0] == runs[1]
+        assert layout(batched, runs[0][2:])[2] == [PROT_NONE] * 2
+        got, want = state(batched), state(scalar)
+        assert got.pop("mprotects") == want.pop("mprotects") + 2 * 2
+        assert got == want
+        batched.free_run(runs[0][2:])
+        for user in runs[1][2:]:
+            scalar.free(user)
+        got, want = state(batched), state(scalar)
+        assert got.pop("mprotects") == want.pop("mprotects") + 2 * 2
+        assert got == want
+        assert batched.stats.live_buffers == 0
+        assert batched.underlying.live_buffer_count == 0
+
+    @pytest.mark.parametrize("underlying", sorted(UNDERLYING))
+    def test_stopped_free_run_charges_the_entries_reached(self, underlying):
+        """A plain free run with NULL entries that stops at a bad free
+        charges interposition for the entries up to it, not the rest."""
+        batched, scalar = metered_twins(UNDERLYING[underlying], [])
+        runs = []
+        for allocator in (batched, scalar):
+            a, b, c = allocator.malloc_run([48] * 3)
+            allocator.free(b)
+            runs.append([a, 0, b, c, 0])
+        with pytest.raises(InvalidFree):
+            batched.free_run(runs[0])
+        with pytest.raises(InvalidFree):
+            for address in runs[1]:
+                scalar.free(address)
+        assert state(batched) == state(scalar)
+        # Three mallocs, the free of b, then a, NULL and b of the run.
+        assert batched.meter.category("interpose") == (
+            (3 + 1 + 3) * batched.meter.model.interpose)
+
+    @pytest.mark.parametrize("underlying", sorted(UNDERLYING))
+    def test_double_free_of_a_quarantined_buffer_is_absorbed(self,
+                                                             underlying):
+        """A second free of a buffer still in the UAF quarantine is a
+        no-op: no second push, so a later eviction cannot release the
+        chunk again once an unpatched buffer has reused it."""
+        allocator = DefendedAllocator(
+            UNDERLYING[underlying](),
+            PatchTable([HeapPatch("malloc", UAF_CCID, UAF)]),
+            context_source=_FixedContext(UAF_CCID), quarantine_quota=100)
+        a = allocator.malloc(40)
+        allocator.free(a)
+        allocator.free(a)
+        assert allocator.stats.live_buffers == 0
+        assert allocator.quarantine.pushed == 1
+        for _ in range(2):
+            allocator.free(allocator.malloc(40))  # evicts a
+        assert a - METADATA_SIZE not in allocator.quarantine
+        allocator.context_source.ccid = PLAIN_CCID
+        b = allocator.malloc(40)
+        allocator.context_source.ccid = UAF_CCID
+        for _ in range(4):
+            allocator.free(allocator.malloc(40))
+        allocator.context_source.ccid = PLAIN_CCID
+        assert allocator.malloc(40) != b
+        assert allocator.stats.live_buffers == 2
+        assert allocator.underlying.live_buffer_count \
+            == 2 + len(allocator.quarantine)

@@ -163,7 +163,7 @@ class TestAllocatorDegradation:
     @pytest.mark.parametrize("allocate", [
         lambda defended: defended.malloc(64),            # Structure 2
         lambda defended: defended.malloc_run([64] * 3),  # a run of them
-        lambda defended: defended.calloc(4, 16),         # generic path
+        lambda defended: defended.calloc(4, 16),         # zero-filled
         lambda defended: defended.memalign(64, 64),      # Structure 4
     ], ids=["malloc", "malloc_run", "calloc", "memalign"])
     def test_failed_guard_seal_releases_the_chunk(self, allocate):

@@ -35,9 +35,9 @@ ALLOCATORS = {"libc": LibcAllocator, "segregated": SegregatedAllocator}
 SETUPS = {
     "native": None,
     "empty-table": VulnType.NONE,
-    # Structure 2 run path (overflow only, unaligned malloc).
+    # Structure 2 (overflow only, unaligned malloc).
     "overflow": VulnType.OVERFLOW,
-    # The generic plan_request/place_buffer path.
+    # Structure 2 with zero-fill: the mask the real diagnosis emits.
     "overflow-uninit": VulnType.OVERFLOW | VulnType.UNINIT_READ,
 }
 
