@@ -556,15 +556,20 @@ class DefendedAllocator(Allocator):
         self._charge_interposition()
         word = self._read_word(address - METADATA_SIZE)
         _, guard, old_size = _decode(address, word)
+        # Allocate before touching the old buffer: a failed allocation
+        # leaves it live with its guard still sealed.
+        new_user = self._allocate_run("realloc", (size,))[0]
         if guard:
-            self._protect(guard, PROT_RW)
+            try:
+                self._protect(guard, PROT_RW)
+            except Exception:
+                # The old buffer stays live and sealed; give the new one
+                # back.  Should that release fail too, its error
+                # propagates and the new buffer stays live and sealed
+                # (it leaks).
+                self.free(new_user)
+                raise
             old_size = self._read_word(guard)
-        try:
-            new_user = self._allocate_run("realloc", (size,))[0]
-        except Exception:
-            if guard:  # the old buffer stays live: reseal
-                self._protect(guard, PROT_NONE)
-            raise
         keep = min(old_size, size)
         if keep:
             self.memory.write(new_user, self.memory.read(address, keep))

@@ -65,12 +65,14 @@ LEAK_BODY_SIZE = 120
 LEAK_EXTRA = PAGE_SIZE
 
 #: Grooming allocations the attack sprays on either side of the body.
-#: 34 slots x 128 bytes > LEAK_BODY_SIZE + LEAK_EXTRA: whichever
-#: direction the allocator hands out slots, the overread stays inside
-#: live, mapped attacker allocations — so the *native* server leaks
-#: heap bytes instead of crashing, exactly the Heartbleed shape.  Only
-#: the patched defense (guard page sealed directly against the body's
-#: context) turns the read into a fault.
+#: The spray is one run of ``2 * LEAK_GROOM + 1`` same-size requests
+#: through the body's call site, the body in the middle (entry
+#: ``LEAK_GROOM``).  34 slots x 128 bytes > LEAK_BODY_SIZE + LEAK_EXTRA:
+#: whichever direction the allocator hands out slots, the overread
+#: stays inside live, mapped attacker allocations — so the *native*
+#: server leaks heap bytes instead of crashing, exactly the Heartbleed
+#: shape.  Only the patched defense (guard page sealed directly against
+#: the body's context) turns the read into a fault.
 LEAK_GROOM = 34
 
 #: Path the leak attack requests.
@@ -402,17 +404,21 @@ class NginxServer(Program):
         controlled (crafted content-length), after the attacker grooms
         the heap around the body: the reply reads ``LEAK_EXTRA`` bytes
         beyond the body buffer into the groomed neighbourhood — the
-        Heartbleed shape."""
+        Heartbleed shape.
+
+        The spray is one ``malloc_run`` of ``2 * LEAK_GROOM + 1``
+        buffers through the body's call site, the body being entry
+        ``LEAK_GROOM``; the teardown is one ``free_run`` of the body,
+        then the groom in allocation order.  Both are observationally
+        the per-call loop (same addresses, CCIDs, cycles and guard
+        pages).  A blocked attack faults in the send, before any free.
+        """
         content = self._documents[path]
-        groom = [p.malloc(LEAK_BODY_SIZE, site="body_buf")
-                 for _ in range(LEAK_GROOM)]
-        body = p.malloc(LEAK_BODY_SIZE, site="body_buf")
-        groom += [p.malloc(LEAK_BODY_SIZE, site="body_buf")
-                  for _ in range(LEAK_GROOM)]
+        spray = p.malloc_run([LEAK_BODY_SIZE] * (2 * LEAK_GROOM + 1),
+                             site="body_buf")
+        body = spray[LEAK_GROOM]
         p.write(body, content[:LEAK_BODY_SIZE])
         p.compute(8800 + LEAK_BODY_SIZE // 16)
         sent = p.syscall_out(body, LEAK_BODY_SIZE + LEAK_EXTRA)
-        p.free(body)
-        for address in groom:
-            p.free(address)
+        p.free_run([body] + spray[:LEAK_GROOM] + spray[LEAK_GROOM + 1:])
         return len(sent)

@@ -7,6 +7,8 @@ addresses, stats and errors ``n`` scalar calls would.  Every test here
 drives a batched allocator and a scalar twin and compares observables.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -538,12 +540,11 @@ class GenericOracle:
             self.free(user)
             return 0
         self._enter()
-        decoded = meta, _, old_size = self._decode(user)
+        new_user = self._allocate("realloc", size)
         try:
-            new_user = self._allocate("realloc", size)
+            decoded = _, _, old_size = self._decode(user)
         except Exception:
-            if meta.has_guard:
-                self._protect(meta.guard_page, PROT_NONE)
+            self.free(new_user)
             raise
         keep = min(old_size or 0, size)
         if keep:
@@ -578,7 +579,11 @@ def state(allocator):
     }
 
 
-UNDERLYING = {"libc": LibcAllocator, "segregated": SegregatedAllocator}
+UNDERLYING = {"libc": LibcAllocator, "segregated": SegregatedAllocator,
+              # Guarded large buffers drawn from (and freed into) cached
+              # mappings, as the serving sessions deploy it.
+              "segregated-map-cache": partial(SegregatedAllocator,
+                                              map_cache=8)}
 MASKS = [OVERFLOW, UAF, UNINIT, OVERFLOW | UAF, OVERFLOW | UNINIT,
          UAF | UNINIT, OVERFLOW | UAF | UNINIT]
 ALIGNED_FUNS = ("memalign", "aligned_alloc", "posix_memalign")

@@ -4,10 +4,13 @@ import pytest
 
 from repro.allocator.base import Allocator
 from repro.allocator.libc import LibcAllocator
+from repro.allocator.segregated import SegregatedAllocator
 from repro.defense.interpose import DefendedAllocator
 from repro.defense.metadata import METADATA_SIZE, BufferMetadata
 from repro.defense.patch_table import PatchTable
-from repro.machine.errors import OutOfMemoryError, SegmentationFault
+from repro.fuzz.faults import FaultInjector
+from repro.machine.errors import (MapError, OutOfMemoryError,
+                                  SegmentationFault)
 from repro.machine.layout import PAGE_SIZE
 from repro.machine.memory import PROT_NONE
 from repro.patch.model import HeapPatch
@@ -271,6 +274,36 @@ class TestRealloc:
         with pytest.raises(SegmentationFault):
             allocator.memory.write(address + 64, b"X" * PAGE_SIZE)
         assert allocator.malloc_usable_size(address) == 64
+
+    @pytest.mark.parametrize("underlying",
+                             [LibcAllocator, SegregatedAllocator])
+    def test_failed_unseal_keeps_the_old_guard_sealed(self, underlying):
+        """The new buffer's seal uses the last ``mprotect`` the injector
+        allows, so unsealing the old guard fails: the old buffer stays
+        live with its guard sealed (the new one, whose release needs an
+        ``mprotect`` too, leaks), and it frees cleanly afterwards."""
+        patches = [HeapPatch("malloc", 0x3, VulnType.OVERFLOW),
+                   HeapPatch("realloc", 0x4, VulnType.OVERFLOW)]
+        context = FixedContext(0x3)
+        allocator = DefendedAllocator(underlying(), PatchTable(patches),
+                                      context_source=context)
+        address = allocator.malloc(64)
+        allocator.memory.write(address, b"E" * 64)
+        guard = BufferMetadata.decode(allocator.memory.read_word(
+            address - METADATA_SIZE)).guard_page
+        injector = FaultInjector({"mprotect": 1})
+        allocator.memory.fault_injector = injector
+        context.ccid = 0x4
+        with pytest.raises(MapError):
+            allocator.realloc(address, 256)
+        assert allocator.memory.protection_of(guard) == PROT_NONE
+        assert allocator.memory.read(address, 64) == b"E" * 64
+        assert allocator.stats.live_buffers == 2
+        injector.disarm()
+        assert allocator.malloc_usable_size(address) == 64
+        allocator.free(address)
+        assert allocator.stats.live_buffers == 1
+        assert allocator.underlying.live_buffer_count == 1
 
     def test_guarded_realloc_unseals_once(self):
         patches = [HeapPatch("malloc", 0x3, VulnType.OVERFLOW)]
