@@ -154,8 +154,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     else:
         corpus = default_corpus()
     pool = DiagnosisPool(jobs=args.jobs or None,
-                         strategy=Strategy.from_name(args.strategy),
-                         shared_pages=args.shared_pages)
+                         strategy=Strategy.from_name(args.strategy))
     diagnosis = pool.diagnose(corpus)
     print(diagnosis.render())
     if args.out_dir:
@@ -195,8 +194,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise _usage_error(f"--jobs must be >= 0, got {args.jobs}")
     campaign = run_campaign(args.seed, args.count, jobs=args.jobs,
                             minimize=args.minimize,
-                            out_dir=args.out_dir,
-                            shared_pages=args.shared_pages)
+                            out_dir=args.out_dir)
     if args.json:
         print(campaign.render())
     else:
@@ -483,7 +481,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         allocator=args.allocator,
         patches_text=patches_text,
         attack_every=args.attack_every,
-        shared_pages=args.shared_pages,
         max_admitted=args.max_admitted,
     )
     try:
@@ -652,10 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "into DIR")
     p.add_argument("--json", metavar="PATH",
                    help="write the machine-readable diagnosis report")
-    p.add_argument("--shared-pages", action="store_true",
-                   help="back worker page frames with shared-memory "
-                        "arenas instead of private buffers (no-op "
-                        "with --jobs 1)")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser(
@@ -684,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out-dir", metavar="DIR",
                    help="write fuzz-repro-<seed>.json for each failing "
                         "seed into DIR")
-    p.add_argument("--shared-pages", action="store_true",
-                   help="back worker page frames with shared-memory "
-                        "arenas instead of private buffers (no-op "
-                        "with --jobs 1)")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(
@@ -849,8 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attack-every", type=int, default=0, metavar="N",
                    help="inject the service's attack request after "
                         "every N benign requests")
-    p.add_argument("--shared-pages", action="store_true",
-                   help="back worker page frames with shared memory")
     p.add_argument("--max-admitted", type=int, default=0, metavar="N",
                    help="bounded admission: hold at most N admitted "
                         "batches in memory (0 = eager)")

@@ -95,7 +95,6 @@ class CampaignResult:
 def run_campaign(seed: int, count: int, jobs: int = 1,
                  minimize: bool = False,
                  out_dir: Optional[Union[str, Path]] = None,
-                 shared_pages: bool = False,
                  ) -> CampaignResult:
     """Evaluate seeds ``[seed, seed + count)``; report deterministically.
 
@@ -105,14 +104,11 @@ def run_campaign(seed: int, count: int, jobs: int = 1,
         minimize: shrink each failing seed's spec before dumping it.
         out_dir: where to write ``fuzz-repro-<seed>.json`` files for
             failing seeds (no files are written when every seed passes).
-        shared_pages: back each worker's page frames with a
-            shared-memory arena (reports never depend on frame backing).
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     seeds = list(range(seed, seed + count))
-    reports = tuple(fanout_map(run_case, seeds, jobs,
-                               shared_pages=shared_pages))
+    reports = tuple(fanout_map(run_case, seeds, jobs))
     reproducers: List[str] = []
     if out_dir is not None:
         directory = Path(out_dir)

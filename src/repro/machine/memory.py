@@ -45,11 +45,9 @@ The word views use the host's native byte order; the substrate assumes a
 little-endian host (as the generic paths do ``int.from_bytes(...,
 "little")``), which covers every platform CPython ships for today.
 
-Pass ``page_store=`` to draw frames from an explicit (possibly
-shared-memory) arena; by default each ``VirtualMemory`` owns a private
-store, unless a process-wide default has been installed via
-:func:`repro.machine.pagestore.set_default_store` (the diagnosis-pool
-workers do this to share page state without pickling it).
+By default each ``VirtualMemory`` owns a private page store; pass
+``page_store=`` to borrow an explicit one instead (a serving worker's
+arena, which outlives the memories that draw from it).
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from .layout import (
     page_align_up,
     page_number,
 )
-from .pagestore import PageStore, get_default_store
+from .pagestore import PageStore
 
 #: No access at all; used for guard pages and red zones at page granularity.
 PROT_NONE: int = 0
@@ -111,10 +109,9 @@ class VirtualMemory:
             substrate exhaustion.  A raised charge leaves the memory
             map untouched.  ``None`` (the default) costs one attribute
             test on these management paths and nothing on data paths.
-        page_store: explicit frame arena to draw resident pages from
-            (e.g. a shared-memory store).  ``None`` uses the process
-            default store if one is installed, else a private store
-            owned (and torn down) by this instance.
+        page_store: explicit frame arena to borrow resident pages
+            from.  ``None`` builds a private store owned (and torn
+            down) by this instance.
     """
 
     __slots__ = (
@@ -128,8 +125,6 @@ class VirtualMemory:
     def __init__(self, fast_paths: bool = True,
                  fault_injector: Optional[object] = None,
                  page_store: Optional[PageStore] = None) -> None:
-        if page_store is None:
-            page_store = get_default_store()
         if page_store is None:
             page_store = PageStore()
             self._owns_store = True
@@ -842,7 +837,7 @@ class VirtualMemory:
             self._store.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
-        # Return slots to a shared (externally owned) store so long-lived
+        # Return slots to a borrowed (externally owned) store so long-lived
         # arenas do not leak pages as VirtualMemory instances come and go.
         try:
             if not self._owns_store:

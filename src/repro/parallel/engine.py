@@ -141,19 +141,9 @@ class _WorkerState:
 _STATE: Optional[_WorkerState] = None
 
 
-def _init_worker(payload: bytes, shared_pages: bool = False) -> None:
-    """Pool initializer: unpickle the plan once per worker process.
-
-    With ``shared_pages`` the worker first installs a process-wide
-    shared-memory page arena, so every replay's page frames live in
-    OS-shared segments rather than per-page private buffers (see
-    :func:`repro.machine.pagestore.install_shared_worker_store`).
-    """
+def _init_worker(payload: bytes) -> None:
+    """Pool initializer: unpickle the plan once per worker process."""
     global _STATE
-    if shared_pages:
-        from ..machine.pagestore import install_shared_worker_store
-
-        install_shared_worker_store("repro-diag-pages")
     _STATE = _WorkerState(pickle.loads(payload))
 
 
@@ -188,8 +178,7 @@ class DiagnosisPool:
                  strategy: Strategy = Strategy.INCREMENTAL,
                  scheme: str = "pcc",
                  prune: bool = False,
-                 quarantine_quota: int = DEFAULT_QUOTA,
-                 shared_pages: bool = False) -> None:
+                 quarantine_quota: int = DEFAULT_QUOTA) -> None:
         if jobs is None:
             from .fanout import usable_cpus
 
@@ -201,12 +190,6 @@ class DiagnosisPool:
         self.scheme = scheme
         self.prune = prune
         self.quarantine_quota = quarantine_quota
-        #: Back worker page frames with shared-memory arenas.  A
-        #: worker-process feature: the serial (jobs=1) path has no
-        #: process boundary, so the flag is a no-op there — results are
-        #: independent of frame backing either way (the determinism
-        #: tests pin this).
-        self.shared_pages = shared_pages
 
     # ------------------------------------------------------------------
     # Plan construction
@@ -296,8 +279,7 @@ class DiagnosisPool:
         with ProcessPoolExecutor(max_workers=self.jobs,
                                  mp_context=_pool_context(),
                                  initializer=_init_worker,
-                                 initargs=(payload, self.shared_pages)
-                                 ) as executor:
+                                 initargs=(payload,)) as executor:
             return list(executor.map(_diagnose_index,
                                      range(len(plan.entries)),
                                      chunksize=chunksize))

@@ -24,14 +24,6 @@ _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
 
-def _init_fanout_worker(shared_pages: bool) -> None:
-    """Worker initializer: optional shared-memory page backing."""
-    if shared_pages:
-        from ..machine.pagestore import install_shared_worker_store
-
-        install_shared_worker_store("repro-fanout-pages")
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on (``taskset`` and cpusets count)."""
     if hasattr(os, "sched_getaffinity"):
@@ -48,23 +40,18 @@ def resolve_jobs(jobs: int = 0) -> int:
 
 def fanout_map(fn: Callable[[_ItemT], _ResultT],
                items: Sequence[_ItemT],
-               jobs: int = 1,
-               shared_pages: bool = False) -> List[_ResultT]:
+               jobs: int = 1) -> List[_ResultT]:
     """Map ``fn`` over ``items`` across ``jobs`` worker processes.
 
     ``fn`` must be a module-level function and every item/result must be
     picklable (the :mod:`repro.parallel` rules).  ``jobs=1`` — or a
     single item — runs in-process through the identical code path, with
-    no executor.  ``shared_pages`` backs each worker's page frames with
-    a shared-memory arena (no-op in-process; results never depend on
-    frame backing).
+    no executor.
     """
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=_pool_context(),
-                             initializer=_init_fanout_worker,
-                             initargs=(shared_pages,)) as executor:
+                             mp_context=_pool_context()) as executor:
         return list(executor.map(fn, items, chunksize=chunksize))

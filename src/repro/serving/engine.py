@@ -17,9 +17,9 @@ defended allocator:
   plan — program, deployed codec, every published table text — ships
   once through the pool initializer; per-batch messages carry only the
   batch index, mirroring :class:`~repro.parallel.engine.DiagnosisPool`.
-  With ``shared_pages`` the workers draw page frames from a
-  shared-memory arena (:mod:`repro.machine.pagestore`) instead of
-  private buffers.
+  Each worker keeps one private page arena
+  (:class:`~repro.machine.pagestore.PageStore`) that every batch it
+  serves borrows frames from.
 * **Per-worker CCE state** — each batch is served by a fresh
   :class:`~repro.serving.session.ServingSession` owning its own encoding
   runtime (the paper's thread-local V register), allocator and process.
@@ -50,7 +50,7 @@ from ..ccencoding.base import Codec
 from ..core.instrument import instrument
 from ..defense.interpose import DEFAULT_ONLINE_QUOTA
 from ..defense.patch_table import PatchTable
-from ..machine.pagestore import PageStore, get_default_store
+from ..machine.pagestore import PageStore
 from ..patch import config as patch_config
 from ..program.program import Program
 from .handle import PatchTableHandle
@@ -96,8 +96,6 @@ class ServingOptions:
     #: Inject the service's attack token after every N benign requests
     #: (0 = no attacks).
     attack_every: int = 0
-    #: Back worker page frames with shared-memory arenas (workers > 1).
-    shared_pages: bool = False
     quarantine_quota: int = DEFAULT_ONLINE_QUOTA
     #: Bounded admission: hold at most this many admitted batches in
     #: memory at a time (0 = legacy eager admission of the full
@@ -174,9 +172,8 @@ class _WorkerServeState:
         self._table_text = dict(plan.tables)
         #: The worker's page arena: every batch borrows its frames and
         #: returns them, so frames and their views are built once per
-        #: worker, not once per batch.  The shared arena when
-        #: ``shared_pages`` installed one, else a private store.
-        self.arena = get_default_store() or PageStore()
+        #: worker, not once per batch.
+        self.arena = PageStore()
 
     def _table(self, version: int) -> PatchTable:
         table = self._tables.get(version)
@@ -218,23 +215,17 @@ class _WorkerServeState:
         )
 
     def close(self) -> None:
-        """Release a private arena (a shared one belongs to the
-        installer, which tears it down at worker exit)."""
-        if self.arena is not get_default_store():
-            self.arena.close()
+        """Release the worker's arena."""
+        self.arena.close()
 
 
 #: The unpickled plan of this worker process (set by the initializer).
 _STATE: Optional[_WorkerServeState] = None
 
 
-def _init_worker(payload: bytes, shared_pages: bool = False) -> None:
+def _init_worker(payload: bytes) -> None:
     """Pool initializer: unpickle the serving plan once per worker."""
     global _STATE
-    if shared_pages:
-        from ..machine.pagestore import install_shared_worker_store
-
-        install_shared_worker_store("repro-serve-pages")
     _STATE = _WorkerServeState(pickle.loads(payload))
 
 
@@ -371,7 +362,8 @@ class ServingEngine:
         plan = self.plan
         n_batches = len(plan.batch_versions)
         start = time.perf_counter()
-        if self.options.workers == 1 or n_batches <= 1:
+        in_process = self.options.workers == 1 or n_batches <= 1
+        if in_process:
             state = _WorkerServeState(plan)
             try:
                 batches = [state.serve_batch(index)
@@ -382,8 +374,11 @@ class ServingEngine:
             batches = self._serve_parallel(plan, n_batches)
         seconds = time.perf_counter() - start
         report = self._build_report(batches)
+        # Pool workers window their own copies of the stream, so the
+        # controller's high-water mark only means something in-process.
         peak = (plan.requests.peak_admitted
-                if isinstance(plan.requests, LazyRequestStream) else None)
+                if in_process
+                and isinstance(plan.requests, LazyRequestStream) else None)
         return ServingResult(report=report, batches=batches,
                              seconds=seconds,
                              workers=self.options.workers,
@@ -465,7 +460,7 @@ class ServingEngine:
                                    usable_cpus())),
             mp_context=_pool_context(),
             initializer=_init_worker,
-            initargs=(payload, self.options.shared_pages))
+            initargs=(payload,))
         return self._executor
 
     def close(self) -> None:

@@ -13,11 +13,11 @@ sequence the eager path builds (attack injection included), so reports
 are byte-identical whether admission is bounded or not.  The stream is
 picklable (the generator and window cache are per-process state and
 rebuilt lazily), so it ships to pool workers exactly like the eager
-request tuple.  Batch access is effectively monotone (the dispatcher
-hands out indices in order with bounded in-flight), which the window
-exploits; a backward access replays the generator from the start —
-correct, merely slower, and only reachable through crash-recovery
-resubmission.
+request tuple.  Batch access is effectively monotone (the in-process
+path serves indices in order, and pool workers pick submitted indices
+off the executor's queue in order), which the window exploits; a
+backward access replays the generator from the start — correct, merely
+slower.
 """
 
 from __future__ import annotations

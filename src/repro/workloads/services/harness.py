@@ -73,7 +73,6 @@ def measure_throughput(program: Program, label: str, work_units: int,
                        run_args: Tuple[Any, ...],
                        patch_count: int = 0,
                        strategy: Strategy = Strategy.INCREMENTAL,
-                       workers: int = 1,
                        ) -> ThroughputResult:
     """Run ``program`` native and defended; return the comparison.
 
@@ -81,15 +80,7 @@ def measure_throughput(program: Program, label: str, work_units: int,
     reflect the deployed defense library (interposition + metadata +
     encoding) rather than any specific installed patch; pass a count to
     additionally enforce median-frequency hypothesized patches.
-
-    ``workers=1`` runs the legacy sequential loop (the oracle);
-    ``workers>1`` routes both runs through the concurrent serving
-    engine (:mod:`repro.serving`), whose cycle totals are byte-
-    identical to its own ``workers=1`` run by construction.
     """
-    if workers > 1:
-        return _measure_throughput_serving(program, label, work_units,
-                                           patch_count, strategy, workers)
     system = HeapTherapy(program, strategy=strategy)
     patches = median_frequency_patches(system, *run_args,
                                        count=patch_count)
@@ -105,41 +96,3 @@ def measure_throughput(program: Program, label: str, work_units: int,
         defended_cycles=defended.meter.total,
     )
 
-
-#: Program name -> serving-registry key (engine routing).
-_SERVICE_KEYS = {"nginx-1.2": "nginx", "mysql-5.5.9": "mysql"}
-
-
-def _measure_throughput_serving(program: Program, label: str,
-                                work_units: int, patch_count: int,
-                                strategy: Strategy,
-                                workers: int) -> ThroughputResult:
-    """The engine-backed measurement path (``workers > 1``)."""
-    from ...serving import ServingEngine, ServingOptions
-
-    service = _SERVICE_KEYS.get(program.name)
-    if service is None:
-        raise ValueError(
-            f"program {program.name!r} is not a served service; "
-            f"known: {', '.join(sorted(_SERVICE_KEYS))}")
-    patches_text = ""
-    if patch_count:
-        system = HeapTherapy(program, strategy=strategy)
-        patches = median_frequency_patches(system, work_units,
-                                           count=patch_count)
-        patches_text = PatchTable(patches).serialize()
-    common = dict(service=service, workers=workers, requests=work_units,
-                  strategy=strategy.value)
-    native = ServingEngine(
-        ServingOptions(defended=False, **common), program=program).serve()
-    defended = ServingEngine(
-        ServingOptions(defended=True, patches_text=patches_text,
-                       **common), program=program).serve()
-    if defended.report["outcomes"].get("blocked"):
-        raise RuntimeError("service run unexpectedly blocked")
-    return ThroughputResult(
-        label=label,
-        work_units=work_units,
-        native_cycles=native.total_cycles,
-        defended_cycles=defended.total_cycles,
-    )

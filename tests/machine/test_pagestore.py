@@ -7,8 +7,6 @@ frames read as zero, a slot's views are built once and released by
 ``close()``, and a slot can only be freed while it is allocated.
 """
 
-import glob
-
 import pytest
 
 from repro.machine.layout import PAGE_SIZE
@@ -87,26 +85,6 @@ class TestClose:
         store.close()
         store.close()
         store.free(slot)
-
-
-class TestSharing:
-    def test_attached_store_resolves_its_slots(self):
-        owner = PageStore(shared=True, name_prefix="repro-test-arena")
-        try:
-            slots = [owner.alloc() for _ in range(3)]
-            for slot, window, _ in slots:
-                window[:2] = bytes([slot, 0xEE])
-            reader = PageStore.attach(owner.handle())
-            assert reader.capacity_pages == owner.capacity_pages
-            for slot, _, words in slots:
-                view, view_words = reader._views_for(slot)
-                assert bytes(view[:2]) == bytes([slot, 0xEE])
-                assert view_words[0] == words[0]
-                assert reader._views_for(slot)[0] is view
-            reader.close()
-        finally:
-            owner.close()
-        assert glob.glob("/dev/shm/repro-test-arena*") == []
 
 
 class TestSharedArenaAcrossMemories:

@@ -56,6 +56,14 @@ class TestBoundedAdmission:
         parallel = serve(replace(OPTIONS, max_admitted=2, workers=2))
         assert canonical(parallel) == canonical(oracle)
 
+    def test_pool_run_reports_no_controller_peak(self):
+        """Pool workers window their own copies of the stream, so a
+        parallel run has no controller-side high-water mark to report."""
+        result = serve(ServingOptions(service="nginx", requests=120,
+                                      batch_size=30, max_admitted=2,
+                                      workers=2))
+        assert result.peak_admitted is None
+
     def test_mysql_stream_is_boundable_too(self):
         options = ServingOptions(service="mysql", requests=90,
                                  batch_size=30)
