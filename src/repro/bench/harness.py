@@ -287,7 +287,8 @@ class _GuestLoop(ProgramLike):
     buffer size and dispatched with ``exec_block`` — the
     batched-interpretation path this benchmark is meant to exercise (the
     per-instruction twin is held equivalent by
-    ``tests/program/test_block_equivalence.py``).
+    ``tests/program/test_block_equivalence.py``, and on the reference
+    address space by ``tests/machine/test_fastpath_equivalence.py``).
 
     Guest instructions are counted at word granularity, exactly like
     :meth:`~repro.program.cost.CostModel.mem_cost` charges them: a
@@ -368,61 +369,6 @@ def run_substrate_suite(scale: float = 1.0, repeat: int = 3) -> SuiteReport:
         bench_guest_rate(scale, repeat),
     ]
     return SuiteReport("substrate", scale, repeat, results)
-
-
-class _GuestLoopPerOp(_GuestLoop):
-    """The per-instruction twin of :class:`_GuestLoop`: every block is
-    interpreted op by op through the ordinary ``Process`` methods."""
-
-    def _work(self, process: Process, i: int) -> None:
-        slot = i % 7
-        buf = process.malloc(64 + slot * 32, site="buf")
-        self._blocks[slot].interpret(process, (buf, i))
-        process.free(buf)
-
-
-def verify_substrate_equivalence(scale: float = 0.05) -> List[str]:
-    """Cross-check the batched fast path against the slow validator.
-
-    Runs the substrate guest-loop workload two ways — batched blocks on
-    a default (fast-path) ``VirtualMemory`` versus per-op interpretation
-    on ``VirtualMemory(fast_paths=False)`` — and compares every
-    simulated observable: instruction count, per-category cycle totals,
-    allocator statistics, the allocation profile, and the memory
-    subsystem's fault/residency counters.  Returns a list of mismatch
-    descriptions; empty means equivalent.  CI's perf-smoke job fails
-    the build on any mismatch.
-    """
-    from ..machine.memory import VirtualMemory
-
-    iters = max(int(3000 * scale), 50)
-
-    def observe(program: _GuestLoop, fast_paths: bool) -> Dict[str, Any]:
-        memory = VirtualMemory(fast_paths=fast_paths)
-        heap = LibcAllocator(memory)
-        process = Process(program.graph, heap=heap,
-                          record_allocations=False)
-        result = process.run(program, iters)
-        return {
-            "instructions": result,
-            "meter": process.meter.snapshot(),
-            "alloc_stats": heap.stats.snapshot(),
-            "alloc_profile": dict(process.alloc_profile),
-            "fault_count": memory.fault_count,
-            "resident_pages": memory.resident_pages,
-            "peak_resident_pages": memory.peak_resident_pages,
-        }
-
-    batched = observe(_GuestLoop(), fast_paths=True)
-    validated = observe(_GuestLoopPerOp(), fast_paths=False)
-    mismatches = []
-    for key in batched:
-        if batched[key] != validated[key]:
-            mismatches.append(
-                f"substrate equivalence: {key} diverged — batched "
-                f"fast-path {batched[key]!r} != per-op validator "
-                f"{validated[key]!r}")
-    return mismatches
 
 
 # ----------------------------------------------------------------------
@@ -1058,20 +1004,10 @@ def run_bench(suites: str = "all", scale: float = 1.0, repeat: int = 3,
               out_dir: Optional[str] = None,
               baseline: Optional[str] = None,
               max_regression_pct: float = DEFAULT_MAX_REGRESSION_PCT,
-              profile: bool = False,
-              verify_equivalence: bool = False) -> int:
+              profile: bool = False) -> int:
     """Run the requested suites; returns the process exit status."""
     out = Path(out_dir) if out_dir else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
-    if verify_equivalence:
-        mismatches = verify_substrate_equivalence(scale)
-        if mismatches:
-            print("\nBATCHED/VALIDATOR DIVERGENCE:", file=sys.stderr)
-            for mismatch in mismatches:
-                print(f"  {mismatch}", file=sys.stderr)
-            return 1
-        print("batched execution == fast_paths=False validator "
-              "(substrate smoke workload)")
     runners = [
         ("substrate", lambda: run_substrate_suite(scale, repeat)),
         ("services", lambda: run_services_suite(scale,
@@ -1141,9 +1077,4 @@ def add_bench_arguments(parser: Any) -> None:
                              "profile_<suite>.txt next to the JSON "
                              "artifacts (numbers from profiled runs "
                              "are not baseline material)")
-    parser.add_argument("--verify-equivalence", action="store_true",
-                        help="before timing anything, run the substrate "
-                             "guest workload batched (fast paths on) and "
-                             "per-op (fast_paths=False validator) and "
-                             "fail if any simulated observable differs")
 

@@ -560,8 +560,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                      repeat=args.repeat, out_dir=args.out_dir,
                      baseline=args.baseline,
                      max_regression_pct=args.max_regression,
-                     profile=args.profile,
-                     verify_equivalence=args.verify_equivalence)
+                     profile=args.profile)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:

@@ -39,8 +39,9 @@ entire benchmark suite is bottlenecked on this file):
 
 Fast paths must be *observation-identical* to the general path: same
 first faulting address, same ``resident_pages`` demand-paging behaviour,
-same counters.  ``VirtualMemory(fast_paths=False)`` disables them so the
-equivalence is testable (``tests/machine/test_fastpath_equivalence.py``).
+same counters.  The oracle is a separate, cache-free reference address
+space under ``tests/machine/reference_memory.py``;
+``tests/machine/test_fastpath_equivalence.py`` runs both side by side.
 The word views use the host's native byte order; the substrate assumes a
 little-endian host (as the generic paths do ``int.from_bytes(...,
 "little")``), which covers every platform CPython ships for today.
@@ -99,9 +100,6 @@ class VirtualMemory:
     defense tests rely on.
 
     Args:
-        fast_paths: enable the single-page fast paths and the one-entry
-            translation cache (default).  Disable only to cross-check
-            fast-path equivalence; semantics are identical either way.
         fault_injector: optional hook with a ``charge(op)`` method
             (see :class:`repro.fuzz.faults.FaultInjector`) consulted
             *before* every ``mmap``/``mprotect`` call and every growing
@@ -117,13 +115,11 @@ class VirtualMemory:
     __slots__ = (
         "_owns_store", "_store", "_protections", "_frames", "_frame_words",
         "_frame_slots", "_brk", "_mmap_cursor", "fault_count",
-        "mprotect_count", "peak_resident_pages", "fast_paths",
-        "fault_injector", "_tlb_page", "_tlb_prot", "_tlb_frame",
-        "_tlb_words", "_read_span",
+        "mprotect_count", "peak_resident_pages", "fault_injector",
+        "_tlb_page", "_tlb_prot", "_tlb_frame", "_tlb_words", "_read_span",
     )
 
-    def __init__(self, fast_paths: bool = True,
-                 fault_injector: Optional[object] = None,
+    def __init__(self, fault_injector: Optional[object] = None,
                  page_store: Optional[PageStore] = None) -> None:
         if page_store is None:
             page_store = PageStore()
@@ -145,7 +141,6 @@ class VirtualMemory:
         self.mprotect_count: int = 0
         #: High-water mark of resident pages (the paper's RSS sampling).
         self.peak_resident_pages: int = 0
-        self.fast_paths: bool = fast_paths
         #: Fault-injection hook for mapping-management operations.
         self.fault_injector = fault_injector
         # One-entry translation cache: last page touched by a fast-path
@@ -193,6 +188,8 @@ class VirtualMemory:
         else:
             if not is_page_aligned(address):
                 raise MapError(f"mmap: address 0x{address:x} not page aligned")
+            if address < 0:
+                raise MapError(f"mmap: negative address {address:#x}")
             if address + length > ADDRESS_SPACE_SIZE:
                 raise MapError("mmap: mapping exceeds address space")
         first = page_number(address)
@@ -388,8 +385,7 @@ class VirtualMemory:
 
     def read(self, address: int, size: int) -> bytes:
         """Read ``size`` bytes, faulting on any protection violation."""
-        if (self.fast_paths and 0 < size
-                and (address & _PAGE_MASK) + size <= PAGE_SIZE
+        if (0 < size and (address & _PAGE_MASK) + size <= PAGE_SIZE
                 and address >= 0):
             _, offset, frame = self._translate(address, size, PROT_READ,
                                                "read")
@@ -404,9 +400,7 @@ class VirtualMemory:
         size = len(data)
         if size == 0:
             return
-        if (self.fast_paths
-                and (address & _PAGE_MASK) + size <= PAGE_SIZE
-                and address >= 0):
+        if (address & _PAGE_MASK) + size <= PAGE_SIZE and address >= 0:
             pno, offset, frame = self._translate(address, size, PROT_WRITE,
                                                  "write")
             if frame is None:
@@ -422,7 +416,7 @@ class VirtualMemory:
         8-aligned reads of a cached page are a single word-view load;
         everything else funnels through :meth:`read`.
         """
-        if self.fast_paths and not address & 7 and address >= 0:
+        if not address & 7 and address >= 0:
             pno = address >> _PAGE_SHIFT
             if pno == self._tlb_page:
                 if self._tlb_prot & PROT_READ:
@@ -447,7 +441,7 @@ class VirtualMemory:
 
     def write_word(self, address: int, value: int) -> None:
         """Write a little-endian 64-bit word (value masked to 64 bits)."""
-        if self.fast_paths and not address & 7 and address >= 0:
+        if not address & 7 and address >= 0:
             pno = address >> _PAGE_SHIFT
             if pno == self._tlb_page:
                 if self._tlb_prot & PROT_WRITE:
@@ -480,9 +474,9 @@ class VirtualMemory:
 
         One translation for both words — the shape of a boundary-tag
         chunk-header load.  Falls back to :meth:`read` when unaligned,
-        when the pair crosses a page, or when fast paths are off.
+        or when the pair crosses a page.
         """
-        if (self.fast_paths and not address & 7 and address >= 0
+        if (not address & 7 and address >= 0
                 and (address & _PAGE_MASK) <= _PAIR_LAST):
             pno = address >> _PAGE_SHIFT
             if pno == self._tlb_page:
@@ -513,7 +507,7 @@ class VirtualMemory:
     def write_word_pair(self, address: int, low: int, high: int) -> None:
         """Write two consecutive 64-bit words at an 8-aligned address
         (see :meth:`read_word_pair`)."""
-        if (self.fast_paths and not address & 7 and address >= 0
+        if (not address & 7 and address >= 0
                 and (address & _PAGE_MASK) <= _PAIR_LAST):
             pno = address >> _PAGE_SHIFT
             if pno == self._tlb_page:
@@ -557,7 +551,7 @@ class VirtualMemory:
         :meth:`read`.
         """
         size = count << 3
-        if not self.fast_paths or address & 7 or address < 0 or count <= 0:
+        if address & 7 or address < 0 or count <= 0:
             return array("Q", self.read(address, size))
         self._check(address, size, PROT_READ, "read")
         out = array("Q", bytes(size))
@@ -594,7 +588,7 @@ class VirtualMemory:
         count = len(buf)
         if count == 0:
             return
-        if not self.fast_paths or address & 7 or address < 0:
+        if address & 7 or address < 0:
             self.write(address, buf.tobytes())
             return
         self._check(address, count << 3, PROT_WRITE, "write")
@@ -624,13 +618,9 @@ class VirtualMemory:
         word per freshly allocated buffer.  The page lookup is hoisted
         and cached across items (a run of same-class slab slots mostly
         lands on one page), instead of re-translating per word.
-        Unaligned or slow-path items funnel through :meth:`write_word`,
+        Unaligned or faulting items funnel through :meth:`write_word`,
         so faulting behavior is identical item-for-item.
         """
-        if not self.fast_paths:
-            for address, value in zip(addresses, values):
-                self.write_word(address, value)
-            return
         protections = self._protections
         frame_words = self._frame_words
         cached_pno = -1
@@ -660,8 +650,6 @@ class VirtualMemory:
         Scattered batch read (the free path's metadata loads), page
         lookup cached across items as in :meth:`write_word_scatter`.
         """
-        if not self.fast_paths:
-            return [self.read_word(address) for address in addresses]
         protections = self._protections
         frame_words = self._frame_words
         cached_pno = -1
@@ -697,8 +685,7 @@ class VirtualMemory:
         """
         if size == 0:
             return
-        if (self.fast_paths and 0 < size
-                and (address & _PAGE_MASK) + size <= PAGE_SIZE
+        if (0 < size and (address & _PAGE_MASK) + size <= PAGE_SIZE
                 and address >= 0):
             pno, offset, frame = self._translate(address, size, PROT_WRITE,
                                                  "write")

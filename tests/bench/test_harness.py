@@ -126,20 +126,6 @@ class TestRunBench:
         assert status == 1
 
 
-class TestEquivalenceVerifier:
-    def test_batched_matches_validator_on_smoke_workload(self):
-        from repro.bench.harness import verify_substrate_equivalence
-
-        assert verify_substrate_equivalence(scale=0.02) == []
-
-    def test_run_bench_verify_flag_passes(self, tmp_path, capsys):
-        status = run_bench(suites="substrate", scale=0.01, repeat=1,
-                           out_dir=str(tmp_path),
-                           verify_equivalence=True)
-        assert status == 0
-        assert "validator" in capsys.readouterr().out
-
-
 class TestDiagnosisSuite:
     def test_smoke_sweep_and_schema(self):
         report = run_diagnosis_suite(scale=0.02, repeat=1,

@@ -1,25 +1,41 @@
-"""Fast-path equivalence: the optimized memory paths must be
-observation-identical to the slow validator (``fast_paths=False``) —
-same fault addresses, same residency accounting, same cycle totals.
+"""Fast-path equivalence: ``VirtualMemory``'s optimized memory paths
+must be observation-identical to ``ReferenceMemory``, the cache-free
+reference address space in ``reference_memory.py`` — same results, same
+fault addresses, same residency accounting, same cycle totals.
+
+Three layers of evidence: hand-written edge cases, a whole guest
+workload run batched on ``VirtualMemory`` against per-op interpretation
+on ``ReferenceMemory``, and a Hypothesis differential over random op
+sequences.
 """
 
+from array import array
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from reference_memory import ReferenceMemory
 
 from repro.allocator.libc import LibcAllocator
+from repro.bench.harness import _GuestLoop
 from repro.machine import (
     PAGE_SIZE,
     PROT_NONE,
     PROT_READ,
     PROT_RW,
+    PROT_WRITE,
+    MapError,
+    OutOfMemoryError,
     SegmentationFault,
     VirtualMemory,
 )
+from repro.machine.layout import ADDRESS_SPACE_SIZE, HEAP_BASE, MMAP_BASE
 from repro.program.callgraph import CallGraph
 from repro.program.process import Process, ProgramLike
 
 
 def _pair():
-    return VirtualMemory(fast_paths=True), VirtualMemory(fast_paths=False)
+    return VirtualMemory(), ReferenceMemory()
 
 
 def _fault_address(fn):
@@ -54,7 +70,7 @@ class TestFaultEquivalence:
 
     def test_cross_page_fault_at_second_page(self):
         """A straddling access faults at the *second* page's base when
-        only the first page is accessible — both modes agree."""
+        only the first page is accessible — both address spaces agree."""
         fast, slow = _pair()
         offsets = []
         for mem in (fast, slow):
@@ -72,7 +88,6 @@ class TestFaultEquivalence:
             assert fa == sa
 
     def test_fill_invalid_size_rejected_in_both(self):
-        from repro.machine import MapError
         fast, slow = _pair()
         for mem in (fast, slow):
             a = mem.mmap(PAGE_SIZE, prot=PROT_RW)
@@ -127,7 +142,7 @@ class TestTlbInvalidation:
 
 
 class TestObservationEquivalence:
-    """Whole-workload equivalence between the two modes."""
+    """Whole-workload equivalence between the two address spaces."""
 
     def _workout(self, mem):
         a = mem.mmap(8 * PAGE_SIZE, prot=PROT_RW)
@@ -153,7 +168,7 @@ class TestObservationEquivalence:
 
     def test_guest_cycle_totals_identical(self):
         """A guest program's cycle decomposition must not depend on
-        whether the memory fast paths are enabled."""
+        whether it runs on the fast paths or on the reference."""
 
         class Prog(ProgramLike):
             def __init__(self):
@@ -173,9 +188,9 @@ class TestObservationEquivalence:
                 return 0
 
         snapshots = []
-        for fast in (True, False):
+        for memory in _pair():
             program = Prog()
-            heap = LibcAllocator(VirtualMemory(fast_paths=fast))
+            heap = LibcAllocator(memory)
             process = Process(program.graph, heap=heap)
             process.run(program, 50)
             snapshots.append(process.meter.snapshot())
@@ -213,13 +228,13 @@ def _pair_observations(mem, offset, second_prot=PROT_RW):
 
 class TestWordPairEquivalence:
     """Word pairs take the fast path at any 8-aligned address whose 16
-    bytes lie in one page, and match ``fast_paths=False`` everywhere."""
+    bytes lie in one page, and match the reference everywhere."""
 
     @pytest.mark.parametrize("offset", [8, 16, 24, PAGE_SIZE - 24,
                                         PAGE_SIZE - 16])
     def test_in_page_pair(self, offset):
         fast = WriteCountingMemory()
-        slow = VirtualMemory(fast_paths=False)
+        slow = ReferenceMemory()
         observed = _pair_observations(fast, offset)
         assert observed == _pair_observations(slow, offset)
         assert observed[0] == [None, (0x1122, 1 << 63)]
@@ -228,7 +243,7 @@ class TestWordPairEquivalence:
 
     def test_pair_crossing_pages_takes_the_general_path(self):
         fast = WriteCountingMemory()
-        slow = VirtualMemory(fast_paths=False)
+        slow = ReferenceMemory()
         observed = _pair_observations(fast, PAGE_SIZE - 8)
         assert observed == _pair_observations(slow, PAGE_SIZE - 8)
         assert observed[0] == [None, (0x1122, 1 << 63)]
@@ -242,3 +257,159 @@ class TestWordPairEquivalence:
         assert observed[0] == [("fault", PAGE_SIZE), ("fault", PAGE_SIZE)]
         # Nothing of the faulting store landed in the first page.
         assert observed[1][-8:] == (0x5A5A).to_bytes(8, "little")
+
+
+class _PerOpGuestLoop(_GuestLoop):
+    """The substrate guest loop with every block interpreted op by op
+    through the ordinary ``Process`` methods."""
+
+    def _work(self, process: Process, i: int) -> None:
+        slot = i % 7
+        buf = process.malloc(64 + slot * 32, site="buf")
+        self._blocks[slot].interpret(process, (buf, i))
+        process.free(buf)
+
+
+class TestGuestLoopEquivalence:
+    """The substrate guest workload run batched on the fast paths
+    matches per-op interpretation on the reference in every simulated
+    observable."""
+
+    ITERATIONS = 150
+
+    def _observe(self, program: _GuestLoop, memory):
+        heap = LibcAllocator(memory)
+        process = Process(program.graph, heap=heap,
+                          record_allocations=False)
+        result = process.run(program, self.ITERATIONS)
+        return {
+            "instructions": result,
+            "meter": process.meter.snapshot(),
+            "alloc_stats": heap.stats.snapshot(),
+            "alloc_profile": dict(process.alloc_profile),
+            "fault_count": memory.fault_count,
+            "resident_pages": memory.resident_pages,
+            "peak_resident_pages": memory.peak_resident_pages,
+        }
+
+    def test_batched_guest_loop_matches_per_op_reference(self):
+        batched = self._observe(_GuestLoop(), VirtualMemory())
+        per_op = self._observe(_PerOpGuestLoop(), ReferenceMemory())
+        for key, value in batched.items():
+            assert value == per_op[key], key
+
+
+# ----------------------------------------------------------------------
+# Differential property test: random op sequences on both address spaces
+# ----------------------------------------------------------------------
+
+#: Setup shared by every sequence, so most random accesses land on
+#: mapped pages: four placed mmap pages, the second read-only and the
+#: third a guard page, and two heap pages.
+_MMAP_PAGES = 4
+_HEAP_PAGES = 2
+
+
+def _setup(memory) -> None:
+    base = memory.mmap(_MMAP_PAGES * PAGE_SIZE)
+    memory.mprotect(base + PAGE_SIZE, PAGE_SIZE, PROT_READ)
+    memory.mprotect(base + 2 * PAGE_SIZE, PAGE_SIZE, PROT_NONE)
+    memory.sbrk(_HEAP_PAGES * PAGE_SIZE)
+
+
+_prots = st.sampled_from((PROT_NONE, PROT_READ, PROT_WRITE, PROT_RW))
+_page_index = st.integers(-1, _MMAP_PAGES + 1)
+_page_base = st.one_of(
+    st.builds(lambda base, index: base + index * PAGE_SIZE,
+              st.sampled_from((MMAP_BASE, HEAP_BASE)), _page_index),
+    st.just(-PAGE_SIZE))
+_offsets = st.one_of(
+    st.sampled_from((0, 1, 8, 16, PAGE_SIZE - 16, PAGE_SIZE - 12,
+                     PAGE_SIZE - 8, PAGE_SIZE - 4, PAGE_SIZE - 1)),
+    st.integers(0, PAGE_SIZE - 1))
+_wild = st.sampled_from((-PAGE_SIZE, -16, -8, -1, ADDRESS_SPACE_SIZE - 8,
+                         ADDRESS_SPACE_SIZE))
+_addresses = st.one_of(
+    st.builds(lambda base, offset: base + offset, _page_base, _offsets),
+    st.builds(lambda base, offset: base + (offset & ~7), _page_base,
+              _offsets),
+    _wild)
+_map_addresses = st.one_of(_page_base, _addresses)
+_lengths = st.one_of(st.integers(-1, 3 * PAGE_SIZE),
+                     st.sampled_from((PAGE_SIZE, 2 * PAGE_SIZE)))
+_sizes = st.one_of(st.integers(-1, 24), st.integers(25, PAGE_SIZE + 16))
+_words = st.integers(-(1 << 64), 1 << 65)
+_words64 = st.integers(0, (1 << 64) - 1)
+_data = st.binary(max_size=48)
+
+
+def _op(name, *args):
+    return st.tuples(st.just(name), *args)
+
+
+_ops = st.one_of(
+    _op("mmap", _lengths, _prots, st.none() | _map_addresses),
+    _op("munmap", _map_addresses, _lengths),
+    _op("mprotect", _map_addresses, _lengths, _prots),
+    _op("sbrk", st.one_of(st.integers(-2 * PAGE_SIZE, 2 * PAGE_SIZE),
+                          st.sampled_from((-PAGE_SIZE, PAGE_SIZE)))),
+    _op("read", _addresses, _sizes),
+    _op("write", _addresses, _data),
+    _op("fill", _addresses, _sizes, st.integers(0, 255)),
+    _op("check_read", _addresses, _sizes),
+    _op("peek", _addresses, _sizes),
+    _op("poke", _addresses, _data),
+    _op("read_word", _addresses),
+    _op("write_word", _addresses, _words),
+    _op("read_word_pair", _addresses),
+    _op("write_word_pair", _addresses, _words, _words),
+    _op("read_words", _addresses,
+        st.one_of(st.integers(-1, 8), st.just(PAGE_SIZE // 8 + 2))),
+    _op("write_words", _addresses,
+        st.one_of(st.lists(_words, max_size=6),
+                  st.lists(_words64, max_size=6).map(
+                      lambda values: array("Q", values)))),
+    _op("write_word_scatter", st.lists(_addresses, max_size=4),
+        st.lists(_words, max_size=4)),
+    _op("read_word_gather", st.lists(_addresses, max_size=4)),
+)
+
+
+def _outcome(memory, name, args):
+    """The op's result, or its fault as (type, address, access, size)."""
+    try:
+        return getattr(memory, name)(*args)
+    except SegmentationFault as fault:
+        return ("SegmentationFault", fault.address, fault.access,
+                fault.size)
+    except (MapError, OutOfMemoryError) as error:
+        return (type(error).__name__,)
+
+
+def _state(memory):
+    return {
+        "fault_count": memory.fault_count,
+        "resident_pages": memory.resident_pages,
+        "peak_resident_pages": memory.peak_resident_pages,
+        "mprotect_count": memory.mprotect_count,
+        "mappings": list(memory.iter_mappings()),
+        "brk": memory.brk,
+    }
+
+
+class TestDifferential:
+    """Random op sequences leave both address spaces indistinguishable
+    after every step."""
+
+    @given(st.lists(_ops, max_size=30))
+    def test_random_op_sequences_agree(self, ops):
+        fast, reference = _pair()
+        _setup(fast)
+        _setup(reference)
+        for step, (name, *args) in enumerate(ops):
+            expected = _outcome(reference, name, args)
+            assert _outcome(fast, name, args) == expected, (step, name)
+            assert _state(fast) == _state(reference), (step, name)
+        for start, length, _ in reference.iter_mappings():
+            assert fast.peek(start, length) == reference.peek(start,
+                                                              length)

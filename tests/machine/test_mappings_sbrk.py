@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine import (
     HEAP_BASE,
+    MMAP_BASE,
     MapError,
     PAGE_SIZE,
     PROT_READ,
@@ -101,3 +102,15 @@ class TestSbrkShrinkEdges:
         memory.sbrk(-PAGE_SIZE)
         memory.sbrk(PAGE_SIZE)
         assert memory.read(HEAP_BASE, 6) == bytes(6)
+
+
+class TestFixedMmapBounds:
+    def test_negative_fixed_address_rejected(self, memory):
+        """A fixed mapping below address zero is refused before any
+        state changes, like one that runs past the top of the space."""
+        with pytest.raises(MapError):
+            memory.mmap(PAGE_SIZE, address=-PAGE_SIZE)
+        assert memory.mapped_pages == 0
+        assert list(memory.iter_mappings()) == []
+        # The placed-mapping cursor is untouched as well.
+        assert memory.mmap(PAGE_SIZE) == MMAP_BASE
