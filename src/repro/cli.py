@@ -481,7 +481,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         allocator=args.allocator,
         patches_text=patches_text,
         attack_every=args.attack_every,
-        max_admitted=args.max_admitted,
     )
     try:
         with ServingEngine(options) as engine:
@@ -524,7 +523,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         jobs=args.jobs,
         allocator=args.allocator,
-        max_admitted=args.max_admitted,
         key_text=args.key,
         tamper=args.tamper,
     )
@@ -837,9 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attack-every", type=int, default=0, metavar="N",
                    help="inject the service's attack request after "
                         "every N benign requests")
-    p.add_argument("--max-admitted", type=int, default=0, metavar="N",
-                   help="bounded admission: hold at most N admitted "
-                        "batches in memory (0 = eager)")
     p.add_argument("--json", metavar="PATH",
                    help="write the report to PATH instead of stdout")
     p.set_defaults(func=cmd_serve)
@@ -860,8 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instance-level parallelism (0 = host CPUs)")
     p.add_argument("--allocator", choices=("segregated", "libc"),
                    default="segregated", help="underlying allocator")
-    p.add_argument("--max-admitted", type=int, default=0, metavar="N",
-                   help="bounded admission per instance (0 = eager)")
     p.add_argument("--key", default="repro-fleet-demo-key",
                    metavar="TEXT", help="fleet signing key material")
     p.add_argument("--tamper", choices=("bitflip", "replay",

@@ -30,8 +30,8 @@ comparable across forked instance processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Tuple
 
 from ..parallel.fanout import fanout_map, resolve_jobs
 from ..serving.engine import ServingEngine, ServingOptions
@@ -39,7 +39,7 @@ from ..serving.services import serving_registry
 from .registry import PatchRegistry, SignedTable, sign_table
 
 #: Fleet report schema identifier (bump on layout changes).
-FLEET_REPORT_SCHEMA = "repro/fleet-report/v1"
+FLEET_REPORT_SCHEMA = "repro/fleet-report/v2"
 
 #: Tamper modes the fault-injection path understands.
 TAMPER_MODES = ("bitflip", "replay", "wrong-key")
@@ -65,8 +65,6 @@ class FleetOptions:
     jobs: int = 1
     allocator: str = "segregated"
     strategy: str = "incremental"
-    #: Bounded admission per instance (0 = eager).
-    max_admitted: int = 0
     #: Fleet signing key material (UTF-8 text).
     key_text: str = "repro-fleet-demo-key"
     #: Fault injection on the distribution channel: "" (honest),
@@ -83,14 +81,10 @@ class _InstanceJob:
     index: int
     snapshot_text: str
     key: bytes
-    service: str
-    requests: int
-    batch_size: int
-    attack_every: int
+    #: The fleet's serving run; the instance adds only the swap of the
+    #: verified table at ``swap_batch``.
+    serving: ServingOptions
     swap_batch: int
-    allocator: str
-    strategy: str
-    max_admitted: int
 
 
 @dataclass(frozen=True)
@@ -139,17 +133,9 @@ def _subscriber_serve(job: _InstanceJob) -> _InstanceResult:
     snapshot = SignedTable.loads(job.snapshot_text)
     subscriber = Subscriber(job.key)
     subscriber.accept(snapshot)  # typed RegistryError on tamper/replay
-    options = ServingOptions(
-        service=job.service,
-        workers=1,
-        requests=job.requests,
-        batch_size=job.batch_size,
-        attack_every=job.attack_every,
-        allocator=job.allocator,
-        strategy=job.strategy,
-        max_admitted=job.max_admitted,
-        swap_schedule=((job.swap_batch, snapshot.config_text),),
-    )
+    options = replace(
+        job.serving,
+        swap_schedule=((job.swap_batch, snapshot.config_text),))
     with ServingEngine(options) as engine:
         result = engine.serve()
     new_version = max(result.report["table_versions"])
@@ -254,6 +240,12 @@ def run_fleet(options: FleetOptions) -> FleetResult:
     if options.instances < 1:
         raise FleetError(
             f"instances must be >= 1, got {options.instances}")
+    if options.requests < 1:
+        raise FleetError(
+            f"requests must be >= 1, got {options.requests}")
+    if options.batch_size < 1:
+        raise FleetError(
+            f"batch_size must be >= 1, got {options.batch_size}")
     registry_entry = serving_registry().get(options.service)
     if registry_entry is None:
         raise FleetError(f"unknown service {options.service!r}")
@@ -266,14 +258,14 @@ def run_fleet(options: FleetOptions) -> FleetResult:
     every, swap_batch = _attack_plan(options.requests, options.attacks,
                                      options.batch_size)
 
-    # Phase A: instance 0 serves under the empty table and observes the
-    # attacks landing.
-    observe_options = ServingOptions(
+    serving = ServingOptions(
         service=options.service, workers=1, requests=options.requests,
         batch_size=options.batch_size, attack_every=every,
-        allocator=options.allocator, strategy=options.strategy,
-        max_admitted=options.max_admitted)
-    with ServingEngine(observe_options) as engine:
+        allocator=options.allocator, strategy=options.strategy)
+
+    # Phase A: instance 0 serves under the empty table and observes the
+    # attacks landing.
+    with ServingEngine(serving) as engine:
         observed = engine.serve()
         program, codec = engine.program, engine.codec
     attack_wall = 0.0
@@ -299,12 +291,8 @@ def run_fleet(options: FleetOptions) -> FleetResult:
 
     # Phase C: every instance verifies and hot-swaps mid-serve.
     jobs = [
-        _InstanceJob(
-            index=index, snapshot_text=delivered.dumps(), key=key,
-            service=options.service, requests=options.requests,
-            batch_size=options.batch_size, attack_every=every,
-            swap_batch=swap_batch, allocator=options.allocator,
-            strategy=options.strategy, max_admitted=options.max_admitted)
+        _InstanceJob(index=index, snapshot_text=delivered.dumps(),
+                     key=key, serving=serving, swap_batch=swap_batch)
         for index in range(options.instances)
     ]
     instances = fanout_map(_subscriber_serve, jobs,
@@ -320,7 +308,6 @@ def run_fleet(options: FleetOptions) -> FleetResult:
         "attacks": options.attacks,
         "attack_every": every,
         "swap_batch": swap_batch,
-        "max_admitted": options.max_admitted,
         "allocator": options.allocator,
         "strategy": options.strategy,
         "registry": {

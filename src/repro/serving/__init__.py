@@ -25,12 +25,10 @@ from .services import (
     split_rounds,
 )
 from .session import ALLOCATORS, BatchResult, ServingSession, make_allocator
-from .stream import LazyRequestStream
 
 __all__ = [
     "ALLOCATORS",
     "BatchResult",
-    "LazyRequestStream",
     "PatchTableHandle",
     "REPORT_SCHEMA",
     "ServedService",

@@ -43,7 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ccencoding import Strategy
 from ..ccencoding.base import Codec
@@ -61,10 +61,9 @@ from .services import (
     split_rounds,
 )
 from .session import BatchResult, ServingSession
-from .stream import LazyRequestStream
 
 #: Report schema identifier (bump on layout changes).
-REPORT_SCHEMA = "repro/serving-report/v1"
+REPORT_SCHEMA = "repro/serving-report/v2"
 
 #: Times the dispatcher will rebuild a crashed worker pool before giving
 #: up on the serve.  Each rebuild resubmits only the unfinished batches,
@@ -97,12 +96,6 @@ class ServingOptions:
     #: (0 = no attacks).
     attack_every: int = 0
     quarantine_quota: int = DEFAULT_ONLINE_QUOTA
-    #: Bounded admission: hold at most this many admitted batches in
-    #: memory at a time (0 = legacy eager admission of the full
-    #: stream).  Outcomes are byte-identical either way; the knob only
-    #: bounds peak request memory, which matters when a fleet run
-    #: drives many engines at once.
-    max_admitted: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,11 +105,8 @@ class ServingPlan:
     options: ServingOptions
     program: Program
     codec: Codec
-    #: The admitted request stream (attack tokens included): the full
-    #: tuple under eager admission, or a windowed
-    #: :class:`~repro.serving.stream.LazyRequestStream` when
-    #: ``max_admitted`` bounds admission.
-    requests: Sequence[Any]
+    #: The admitted request stream (attack tokens included).
+    requests: Tuple[Any, ...]
     #: version -> canonical table config text, for every published
     #: version (the copy-on-write wire format).
     tables: Tuple[Tuple[int, str], ...]
@@ -127,10 +117,8 @@ class ServingPlan:
 
     def batch(self, index: int) -> Tuple[Any, ...]:
         """The admitted request slice of batch ``index``."""
-        if isinstance(self.requests, LazyRequestStream):
-            return self.requests.batch(index)
         size = self.options.batch_size
-        return tuple(self.requests[index * size:(index + 1) * size])
+        return self.requests[index * size:(index + 1) * size]
 
 
 @dataclass
@@ -142,11 +130,6 @@ class ServingResult:
     #: Wall-clock seconds of the dispatch loop (excluded from report).
     seconds: float
     workers: int
-    #: High-water mark of admitted-but-live batches under bounded
-    #: admission, observed on the controller-side stream (None when
-    #: admission was eager, or when every batch ran in pool workers
-    #: whose window state is per-process).  Telemetry, not report data.
-    peak_admitted: Optional[int] = None
 
     @property
     def requests_per_second(self) -> float:
@@ -272,6 +255,12 @@ class ServingEngine:
         if options.batch_size < 1:
             raise ServingError(
                 f"batch_size must be >= 1, got {options.batch_size}")
+        if options.requests < 0:
+            raise ServingError(
+                f"requests must be >= 0, got {options.requests}")
+        if options.attack_every < 0:
+            raise ServingError(
+                f"attack_every must be >= 0, got {options.attack_every}")
         if service is None:
             registry = serving_registry()
             service = registry.get(options.service)
@@ -302,34 +291,16 @@ class ServingEngine:
     # -- admission -----------------------------------------------------
 
     def _admit(self) -> ServingPlan:
-        """Build the request stream and stamp batches with versions.
-
-        With ``max_admitted`` set, the stream is a windowed
-        :class:`LazyRequestStream` instead of one eager tuple: batches
-        materialize on demand and at most ``max_admitted`` of them are
-        held at a time, in the controller and in every worker alike.
-        Version stamping is unchanged — it is pure arithmetic over the
-        batch count and the swap schedule, no request content needed.
-        """
+        """Build the request stream and stamp batches with versions."""
         options = self.options
-        if options.max_admitted < 0:
-            raise ServingError(
-                f"max_admitted must be >= 0, got {options.max_admitted}")
         if options.attack_every and self.service.attack_token is None:
             raise ServingError(
                 f"service {self.service.key!r} has no attack path")
-        requests: Sequence[Any]
-        if options.max_admitted:
-            requests = LazyRequestStream(
-                self.service, options.requests, options.batch_size,
-                attack_every=options.attack_every,
-                max_admitted=options.max_admitted)
-        else:
-            eager: List[Any] = self.service.stream(options.requests)
-            if options.attack_every:
-                eager = inject_attacks(eager, self.service.attack_token,
-                                       options.attack_every)
-            requests = tuple(eager)
+        stream: List[Any] = self.service.stream(options.requests)
+        if options.attack_every:
+            stream = inject_attacks(stream, self.service.attack_token,
+                                    options.attack_every)
+        requests = tuple(stream)
         size = options.batch_size
         n_batches = (len(requests) + size - 1) // size
         schedule = dict(options.swap_schedule)
@@ -362,8 +333,7 @@ class ServingEngine:
         plan = self.plan
         n_batches = len(plan.batch_versions)
         start = time.perf_counter()
-        in_process = self.options.workers == 1 or n_batches <= 1
-        if in_process:
+        if self.options.workers == 1 or n_batches <= 1:
             state = _WorkerServeState(plan)
             try:
                 batches = [state.serve_batch(index)
@@ -373,16 +343,9 @@ class ServingEngine:
         else:
             batches = self._serve_parallel(plan, n_batches)
         seconds = time.perf_counter() - start
-        report = self._build_report(batches)
-        # Pool workers window their own copies of the stream, so the
-        # controller's high-water mark only means something in-process.
-        peak = (plan.requests.peak_admitted
-                if in_process
-                and isinstance(plan.requests, LazyRequestStream) else None)
-        return ServingResult(report=report, batches=batches,
-                             seconds=seconds,
-                             workers=self.options.workers,
-                             peak_admitted=peak)
+        return ServingResult(report=self._build_report(batches),
+                             batches=batches, seconds=seconds,
+                             workers=self.options.workers)
 
     def _serve_parallel(self, plan: ServingPlan,
                         n_batches: int) -> List[BatchResult]:
@@ -522,7 +485,6 @@ class ServingEngine:
             "allocator": options.allocator,
             "strategy": options.strategy,
             "attack_every": options.attack_every,
-            "max_admitted": options.max_admitted,
             "batches": len(batches),
             "table_versions": [batch.table_version for batch in batches],
             "served": served,

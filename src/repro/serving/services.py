@@ -10,7 +10,7 @@ mid-flight).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..ccencoding.base import Codec
 from ..patch.model import HeapPatch
@@ -30,9 +30,6 @@ class ServedService:
     stream: Callable[[int], List[Any]]
     #: The injectable attack request token (None: no attack path).
     attack_token: Optional[Any] = None
-    #: Lazy variant of ``stream`` for bounded admission (same tokens,
-    #: one at a time); None falls back to iterating ``stream``.
-    stream_iter: Optional[Callable[[int], Iterator[Any]]] = None
     #: Diagnosis hook: the patches a site's forensic analysis of the
     #: service's known attack would emit (None: nothing to diagnose).
     diagnose: Optional[
@@ -47,7 +44,6 @@ def serving_registry() -> Dict[str, ServedService]:
             program_factory=nginx_mod.NginxServer,
             stream=nginx_mod.request_stream,
             attack_token=nginx_mod.LEAK_REQUEST,
-            stream_iter=nginx_mod.request_stream_iter,
             diagnose=diagnose_nginx_leak,
         ),
         "mysql": ServedService(
@@ -55,7 +51,6 @@ def serving_registry() -> Dict[str, ServedService]:
             program_factory=mysql_mod.MySqlServer,
             stream=mysql_mod.request_stream,
             attack_token=None,
-            stream_iter=mysql_mod.request_stream_iter,
         ),
     }
 

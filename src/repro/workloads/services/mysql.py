@@ -19,7 +19,7 @@ keeps that loop as the oracle).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ...program.blocks import BasicBlock, BlockBuilder
 from ...program.callgraph import CallGraph
@@ -36,22 +36,19 @@ POOL_PAGE_SIZE = 16 * 1024
 SORT_QUERY_FRACTION = 0.02
 
 
-def request_stream_iter(count: int) -> Iterator[Tuple[int, bool]]:
-    """The query mix as ``(page_index, needs_sort)`` tokens, lazily.
+def request_stream(count: int) -> List[Tuple[int, bool]]:
+    """The query mix as ``(page_index, needs_sort)`` tokens.
 
     Draw-for-draw identical to the legacy query loop's RNG use, so the
-    serving engine, the bounded-admission lazy stream and the sequential
-    oracle all execute the same queries in the same order.
+    serving engine and the sequential oracle execute the same queries
+    in the same order.
     """
     rng = random.Random("mysql:queries")
+    queries = []
     for _ in range(count):
         needs_sort = rng.random() < SORT_QUERY_FRACTION
-        yield (rng.randrange(BUFFER_POOL_PAGES), needs_sort)
-
-
-def request_stream(count: int) -> List[Tuple[int, bool]]:
-    """The query mix as an explicit token list."""
-    return list(request_stream_iter(count))
+        queries.append((rng.randrange(BUFFER_POOL_PAGES), needs_sort))
+    return queries
 
 
 def _query_block() -> BasicBlock:

@@ -13,8 +13,8 @@ but small.
 from __future__ import annotations
 
 import random
-from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ...machine.layout import PAGE_SIZE
 from ...program.blocks import BasicBlock, BlockBuilder
@@ -90,25 +90,18 @@ SERVE_CHUNK = 64
 SERVE_CONCURRENCY = 20
 
 
-def request_stream_iter(count: int) -> Iterator[str]:
-    """The benign request mix, one token at a time.
+def request_stream(count: int) -> List[str]:
+    """The benign request mix as an explicit token list.
 
     Draw-for-draw identical to the legacy worker loop's RNG use, so the
-    serving engine, the bounded-admission lazy stream and the
-    sequential oracle all serve the same requests in the same order.
+    serving engine and the sequential oracle serve the same requests in
+    the same order.
     """
     rng = random.Random("nginx:requests")
     paths = sorted(DOCUMENT_TREE)
-    for _ in range(count):
-        if rng.random() < MISSING_PATH_WEIGHT:
-            yield MISSING_PATH
-        else:
-            yield paths[rng.randrange(len(paths))]
-
-
-def request_stream(count: int) -> List[str]:
-    """The benign request mix as an explicit token list."""
-    return list(request_stream_iter(count))
+    return [MISSING_PATH if rng.random() < MISSING_PATH_WEIGHT
+            else paths[rng.randrange(len(paths))]
+            for _ in range(count)]
 
 
 class Stage(NamedTuple):

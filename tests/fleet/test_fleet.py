@@ -103,6 +103,11 @@ class TestValidation:
         with pytest.raises(FleetError):
             run_fleet(replace(OPTIONS, instances=0))
 
+    @pytest.mark.parametrize("field", ["batch_size", "requests"])
+    def test_empty_shape_rejected_before_planning(self, field):
+        with pytest.raises(FleetError, match=field):
+            run_fleet(replace(OPTIONS, **{field: 0}))
+
     @pytest.mark.parametrize("mode,error", [
         ("bitflip", "ContentMismatch"),
         ("replay", "StaleVersion"),
@@ -149,3 +154,11 @@ class TestCli:
             main(["fleet", "--attacks", "1"])
         assert excinfo.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_batch_size_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--batch-size", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "batch_size must be >= 1" in err

@@ -54,6 +54,17 @@ class TestExitCodes:
             main(["serve", "--batch-size", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--requests", "-5"),
+                                            ("--attack-every", "-3")])
+    def test_negative_count_exits_two(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--requests", "12", "--batch-size", "4",
+                  flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "must be >= 0" in err
+
     def test_unreadable_patches_file_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--patches", str(tmp_path / "missing.cfg")])

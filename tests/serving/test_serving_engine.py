@@ -25,7 +25,8 @@ from repro.serving.engine import (
     serve,
 )
 from repro.serving.services import nginx_body_patch, serving_registry
-from repro.workloads.services.nginx import NginxServer
+from repro.workloads.services.nginx import (DOCUMENT_TREE, LEAK_BODY_SIZE,
+                                            LEAK_EXTRA, NginxServer)
 
 #: Small but multi-batch run shape: 120 benign requests in batches of
 #: 30; ``attack_every=40`` plants 3 leak attempts (one in batch 1, one
@@ -191,6 +192,16 @@ class TestValidation:
         with pytest.raises(ServingError, match="beyond"):
             ServingEngine(options, program=nginx[0], codec=nginx[1])
 
+    @pytest.mark.parametrize("field,value", [("requests", -5),
+                                             ("attack_every", -3)])
+    def test_negative_counts_rejected(self, field, value):
+        """A negative count is a usage error, not a silently empty run
+        or an attack-free one."""
+        options = replace(ServingOptions(requests=12, batch_size=4),
+                          **{field: value})
+        with pytest.raises(ServingError, match=field):
+            ServingEngine(options)
+
     def test_attack_on_service_without_attack_path(self):
         with pytest.raises(ServingError, match="no attack path"):
             ServingEngine(ServingOptions(service="mysql",
@@ -198,6 +209,22 @@ class TestValidation:
 
     def test_registry_lists_both_services(self):
         assert set(serving_registry()) == {"nginx", "mysql"}
+
+
+class TestAdmission:
+    def test_engine_admits_from_its_own_service(self):
+        """The engine draws requests from the ``stream`` of the service
+        it was given, not from the registry entry of the same key."""
+        options = ServingOptions(service="nginx", requests=120,
+                                 batch_size=10, attack_every=9)
+        custom = replace(serving_registry()["nginx"],
+                         stream=lambda count: ["/index.html"] * count)
+        result = serve(options, service=custom)
+        leaks = result.report["outcomes"].get("leak", 0)
+        assert leaks == options.requests // options.attack_every
+        assert result.report["bytes_sent"] == (
+            options.requests * DOCUMENT_TREE["/index.html"]
+            + leaks * (LEAK_BODY_SIZE + LEAK_EXTRA))
 
 
 class TestCpuAffinity:

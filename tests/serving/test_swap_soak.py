@@ -121,16 +121,3 @@ class TestSoak:
         baseline.pop("workers")
         assert reports[1] == reports[3] == json.dumps(baseline,
                                                       sort_keys=True)
-
-    def test_soak_with_bounded_admission(self, soak):
-        """The lazy stream and the swap schedule compose: same
-        outcomes, bounded window."""
-        result, options = soak
-        bounded = serve(replace(options, max_admitted=3))
-        assert bounded.peak_admitted is not None
-        assert bounded.peak_admitted <= 3
-        base = dict(result.report)
-        other = dict(bounded.report)
-        assert base.pop("max_admitted") == 0
-        assert other.pop("max_admitted") == 3
-        assert other == base
