@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-diagnosis bench-fleet bench-paper \
+.PHONY: install test bench bench-diagnosis bench-paper \
 	bench-full examples docs-check lint clean
 
 install:
@@ -32,9 +32,10 @@ lint:
 		echo "mypy not installed; skipping (pip install -e .[lint])"; \
 	fi
 
-# Wall-clock perf harness: writes BENCH_<suite>.json files, gating
-# against every committed BENCH_*.json baseline in the repo root
-# (substrate, services, layout; directory form of --baseline).
+# Wall-clock throughput harness: writes BENCH_<suite>.json files,
+# gating against every committed BENCH_*.json baseline in the repo root
+# (serving, layout, synth; directory form of --baseline).  Service
+# throughput is measured by `python3 perf/run.py`, not here.
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro bench --suite all \
 		--baseline .
@@ -47,13 +48,6 @@ bench-diagnosis:
 	PYTHONPATH=src $(PYTHON) -m repro bench --suite diagnosis \
 		--out-dir benchmarks/results \
 		--baseline benchmarks/results/BENCH_diagnosis.json
-
-# Fleet immunization curve: post-swap capacity over fleet sizes
-# {1,2,4,8}, with swap-latency and immunization-time extras; gates
-# against the committed BENCH_fleet.json baseline.
-bench-fleet:
-	PYTHONPATH=src $(PYTHON) -m repro bench --suite fleet \
-		--baseline .
 
 # Paper tables/figures microbenchmarks (pytest-benchmark timings only).
 bench-paper:

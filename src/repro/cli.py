@@ -14,11 +14,12 @@
     python -m repro encode heartbleed --strategy incremental
     python -m repro lint --encoding
     python -m repro verify-encoding --spec --json certificates.json
-    python -m repro bench --suite substrate --baseline BENCH_substrate.json
+    python -m repro bench --suite serving --baseline BENCH_serving.json
 
 Each command exercises the same public API an embedding application
 would use; the CLI exists so the system can be explored without writing
-code.
+code.  ``bench`` records the throughput numbers that ``python3
+perf/run.py``, the end-to-end serving benchmark, does not measure.
 
 Exit codes are uniform across the analysis commands: 0 means clean, 1
 means findings (lint errors, uncertified encodings, undetected
@@ -866,8 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fleet)
 
     from .bench.harness import add_bench_arguments
-    p = sub.add_parser("bench", help="run the substrate/service perf "
-                                     "harness; emits BENCH_*.json")
+    p = sub.add_parser("bench", help="run the scaling, diagnosis, fuzz, "
+                                     "layout and synth throughput suites; "
+                                     "emits BENCH_*.json (service "
+                                     "throughput: python3 perf/run.py)")
     add_bench_arguments(p)
     p.set_defaults(func=cmd_bench)
 

@@ -12,12 +12,12 @@ sequences.
 from array import array
 
 import pytest
+from guest_loop import _GuestLoop
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_memory import ReferenceMemory
 
 from repro.allocator.libc import LibcAllocator
-from repro.bench.harness import _GuestLoop
 from repro.machine import (
     PAGE_SIZE,
     PROT_NONE,
