@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-diagnosis bench-paper \
-	bench-full examples docs-check lint clean
+	bench-full examples lint clean
 
 install:
 	pip install -e .

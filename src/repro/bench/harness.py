@@ -628,12 +628,11 @@ def run_bench(suites: str = "all", scale: float = 1.0, repeat: int = 3,
     out = Path(out_dir) if out_dir else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
     runners = [
-        ("serving", lambda: run_serving_suite(scale,
-                                              max(repeat - 1, 1))),
+        ("serving", lambda: run_serving_suite(scale, repeat)),
         ("diagnosis", lambda: run_diagnosis_suite(scale, repeat)),
-        ("fuzz", lambda: run_fuzz_suite(scale, max(repeat - 1, 1))),
+        ("fuzz", lambda: run_fuzz_suite(scale, repeat)),
         ("layout", lambda: run_layout_suite(scale, repeat)),
-        ("synth", lambda: run_synth_suite(scale, max(repeat - 1, 1))),
+        ("synth", lambda: run_synth_suite(scale, repeat)),
     ]
     reports: List[SuiteReport] = []
     for name, runner in runners:

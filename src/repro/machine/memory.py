@@ -35,7 +35,11 @@ entire benchmark suite is bottlenecked on this file):
   ``mprotect``/``munmap``/``sbrk`` shrink, and updated whenever a cached
   page's frame is first materialized;
 * multi-page and bulk-word copies (``read_words``/``write_words``) go
-  through ``memoryview`` slices rather than per-element Python loops.
+  through ``memoryview`` slices rather than per-element Python loops;
+* ``resolve`` hands a block executor the frame views behind a
+  single-page, resident, sufficiently permitted span (and ``None`` for
+  any other), so a block row checks each argument's page once and then
+  works on the frame directly.
 
 Fast paths must be *observation-identical* to the general path: same
 first faulting address, same ``resident_pages`` demand-paging behaviour,
@@ -352,6 +356,31 @@ class VirtualMemory:
             self._read_span = span
             return
         self._check(address, size, PROT_READ, "read")
+
+    def resolve(self, address: int, size: int, needed: int
+                ) -> Optional[Tuple[memoryview, memoryview, int]]:
+        """The frame behind ``[address, address+size)``, if direct access
+        to it needs no fault and no first touch.
+
+        Returns ``(frame, words, page_base)`` (the page's byte view, its
+        64-bit word view and its base address) when the range lies in
+        one page that is mapped with every bit of ``needed`` and is
+        resident; ``None`` otherwise.  A pure query: it never faults,
+        materializes a page, bumps a counter or touches the translation
+        cache, so a caller that gets ``None`` can redo the access through
+        the checked methods and observe exactly what they observe.
+        """
+        pno = address >> _PAGE_SHIFT
+        if (size <= 0 or address < 0
+                or (address + size - 1) >> _PAGE_SHIFT != pno):
+            return None
+        prot = self._protections.get(pno, 0)
+        if (prot & needed) != needed:
+            return None
+        words = self._frame_words.get(pno)
+        if words is None:
+            return None
+        return self._frames[pno], words, pno << _PAGE_SHIFT
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
         """True if every page in ``[address, address+size)`` is mapped."""

@@ -26,6 +26,20 @@ the monitor executes it.  There are two executors:
   traffic, no :class:`~repro.program.values.TaggedValue` boxing.  A
   single ``exec_block`` is a one-row run.
 
+Because the offsets are static, a block also records per argument slot
+the byte span ``[lo, hi)`` its data ops touch and the ``PROT_*`` bits
+they need (:attr:`BasicBlock.spans`; SENDFILE stays out and keeps its
+own read check).  The fused executor resolves each row's spans with
+:meth:`~repro.machine.memory.VirtualMemory.resolve`.  If every span
+lies in one resident page with the needed permissions, the row runs
+:attr:`BasicBlock.resolved_ops` directly on those frames.  Any other row
+(a span that straddles a page, lacks a permission, or lies on an
+unmapped or never-written page) runs op by op through the checked
+memory methods, as does a lone row that accesses each argument only
+once.  ``resolved_ops`` obeys the dead-load rule: it drops every load
+whose slot no later USE or WRITE_REG reads, since such a load's only
+effect is the permission check that resolution has made.
+
 Equivalence obligations (enforced by
 ``tests/program/test_block_equivalence.py``): for any block and argument
 vector, fused execution must produce the same memory contents, the same
@@ -39,6 +53,7 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple
 
+from ..machine.memory import PROT_READ, PROT_WRITE
 from .cost import CostModel, DEFAULT_COST_MODEL
 from .values import TaggedValue
 
@@ -60,6 +75,9 @@ OP_USE = 12           # (op, slot, kind)               use a READ slot
 OP_SYSCALL_OUT = 13   # (op, argi, off, size)
 OP_SYSCALL_IN = 14    # (op, argi, off, data)
 OP_SENDFILE = 15      # (op, argi, off, size)   zero-copy send
+#: Resolved rows only: every static store above (WRITE_IMM*, SYSCALL_IN,
+#: FILL) as the bytes it leaves in ``[off, end)``.
+OP_STORE = 16         # (op, argi, off, end, data)
 
 
 class BlockError(ValueError):
@@ -83,6 +101,17 @@ class BasicBlock:
             accessing memory, so a fault inside op ``i`` leaves exactly
             ``cum_cycles[i]`` on the meter).
         n_args: how many runtime arguments the ops reference.
+        spans: ``(arg, lo, hi - lo, needed)`` per argument slot the
+            data ops address, in argument order: the byte span
+            ``[lo, hi)`` they touch relative to the argument and the
+            union of the ``PROT_*`` bits they need.  SENDFILE is not
+            counted.
+        accesses: how many accesses those spans cover: one per data op,
+            two per COPY.  Each is a checked memory call on the per-op
+            path.
+        resolved_ops: what a row whose spans all resolved runs:
+            ``run_ops`` without dead loads (loads whose slot nothing
+            reads), with static stores as :data:`OP_STORE`.
         instructions: guest instructions the block represents, counted at
             word granularity exactly like :meth:`CostModel.mem_cost`
             charges them — a 256-byte fill is 32 word stores even though
@@ -91,7 +120,8 @@ class BasicBlock:
     """
 
     __slots__ = ("ops", "nslots", "model", "base_cycles", "cum_cycles",
-                 "n_args", "instructions", "run_ops")
+                 "n_args", "instructions", "run_ops", "spans",
+                 "accesses", "resolved_ops")
 
     def __init__(self, ops: Sequence[Tuple], nslots: int,
                  model: CostModel, cycles: Sequence[float],
@@ -119,6 +149,10 @@ class BasicBlock:
         # keep fault accounting (``cum_cycles[i]``) exact.
         self.run_ops = tuple((i, op) for i, op in enumerate(self.ops)
                              if op[0] != OP_COMPUTE)
+        accesses = [access for op in self.ops for access in _accesses(op)]
+        self.spans = _spans(accesses)
+        self.accesses = len(accesses)
+        self.resolved_ops = _resolved(self.run_ops)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -172,6 +206,80 @@ class BasicBlock:
             else:  # pragma: no cover - builder emits only known opcodes
                 raise BlockError(f"unknown opcode {code}")
         return out
+
+
+def _accesses(op: Tuple) -> Tuple[Tuple[int, int, int, int], ...]:
+    """``(arg, offset, size, PROT_*)`` of each access ``op`` makes.
+
+    SENDFILE is left out: it keeps :meth:`VirtualMemory.check_read`,
+    whose span cache covers bodies of any length.
+    """
+    code = op[0]
+    if code == OP_READ_W:
+        return ((op[1], op[2], 8, PROT_READ),)
+    if code == OP_READ or code == OP_SYSCALL_OUT:
+        return ((op[1], op[2], op[3], PROT_READ),)
+    if (code == OP_WRITE_IMM or code == OP_WRITE_IMM_W
+            or code == OP_WRITE_IMM_PAIR or code == OP_SYSCALL_IN):
+        return ((op[1], op[2], len(op[3]), PROT_WRITE),)
+    if code == OP_WRITE_ARG_W or code == OP_WRITE_REG_W:
+        return ((op[1], op[2], 8, PROT_WRITE),)
+    if code == OP_WRITE_REG:
+        return ((op[1], op[2], op[4], PROT_WRITE),)
+    if code == OP_FILL:
+        return ((op[1], op[2], op[3], PROT_WRITE),)
+    if code == OP_COPY:
+        return ((op[1], op[2], op[5], PROT_WRITE),
+                (op[3], op[4], op[5], PROT_READ))
+    return ()
+
+
+def _spans(accesses: Sequence[Tuple[int, int, int, int]]
+           ) -> Tuple[Tuple[int, int, int, int], ...]:
+    """Per argument slot, ``(arg, lo, hi - lo, needed)``: the byte span
+    ``[lo, hi)`` its ``accesses`` touch relative to the argument and
+    the union of the permissions they need, in argument order."""
+    spans: dict = {}
+    for arg, off, size, needed in accesses:
+        lo, hi, prot = spans.get(arg, (off, off + size, 0))
+        spans[arg] = (min(lo, off), max(hi, off + size), prot | needed)
+    return tuple((arg, lo, hi - lo, needed)
+                 for arg, (lo, hi, needed) in sorted(spans.items()))
+
+
+def _resolved(run_ops: Sequence[Tuple[int, Tuple]]
+              ) -> Tuple[Tuple[int, Tuple], ...]:
+    """``run_ops`` as a row whose spans all resolved runs them.
+
+    A load whose slot no USE or WRITE_REG op reads is dropped:
+    resolution has already made its permission check, its only effect.
+    Static stores become :data:`OP_STORE` of the bytes they write.
+    """
+    live = set()
+    for _, op in run_ops:
+        code = op[0]
+        if code == OP_USE_W or code == OP_USE:
+            live.add(op[1])
+        elif code == OP_WRITE_REG_W or code == OP_WRITE_REG:
+            live.add(op[3])
+    out = []
+    for i, op in run_ops:
+        code = op[0]
+        if ((code == OP_READ_W and op[3] not in live)
+                or (code == OP_READ and op[4] not in live)):
+            continue
+        if (code == OP_WRITE_IMM or code == OP_WRITE_IMM_W
+                or code == OP_WRITE_IMM_PAIR):
+            data = op[3].data
+        elif code == OP_SYSCALL_IN:
+            data = op[3]
+        elif code == OP_FILL:
+            data = bytes((op[4],)) * op[3]
+        else:
+            out.append((i, op))
+            continue
+        out.append((i, (OP_STORE, op[1], op[2], op[2] + len(data), data)))
+    return tuple(out)
 
 
 class BlockBuilder:

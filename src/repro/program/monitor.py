@@ -21,7 +21,15 @@ default :meth:`ExecutionMonitor.exec_block` is
 :meth:`~repro.program.blocks.BasicBlock.interpret` on the bound process,
 so an interpreting monitor sees every op.  :class:`DirectMonitor` runs
 them through its one fused executor, :meth:`DirectMonitor.exec_block_run`;
-a single block is a one-row run.
+a single block is a one-row run.  The executor resolves each row's
+argument spans to resident page frames whose permissions cover them
+(:meth:`~repro.machine.memory.VirtualMemory.resolve`), probing a page
+once per run.  A row whose spans all resolve runs as slice and
+word-view ops on those frames, without the loads nothing reads; any
+other row runs as per-op calls on the checked memory methods, which
+fault, count faults and materialize first-touched pages.  A lone row
+that accesses each argument once skips the probes: they would cost as
+many calls as they save.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from ..allocator.base import Allocator
 from ..machine.errors import SegmentationFault
+from ..machine.layout import PAGE_SIZE
 from ..machine.memory import VirtualMemory
 from .blocks import (
     OP_COPY,
@@ -38,6 +47,8 @@ from .blocks import (
     OP_READ,
     OP_READ_W,
     OP_SENDFILE,
+    OP_STORE,
+    OP_SYSCALL_IN,
     OP_SYSCALL_OUT,
     OP_USE,
     OP_USE_W,
@@ -51,6 +62,11 @@ from .blocks import (
 )
 from .cost import CycleMeter
 from .values import TaggedValue
+
+_WORD_MASK = (1 << 64) - 1
+#: ``bases`` entry of an argument with no page resolved yet: no address
+#: lies within a page of it.
+_NO_PAGE = float("inf")
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .process import Process
@@ -278,6 +294,19 @@ class DirectMonitor(ExecutionMonitor):
         ``n``-scaled charge up front; on a fault in row ``r`` it is
         adjusted down to what the per-op path would have charged by then
         (``r`` full blocks plus the faulting row's per-op prefix).
+
+        Each row first resolves its argument spans
+        (:attr:`BasicBlock.spans`) with :meth:`VirtualMemory.resolve`,
+        reusing the page an argument's span resolved to in an earlier
+        row of the run when the span lies in it again.  When every span
+        resolves, the row's checks have all passed, so it runs
+        :attr:`BasicBlock.resolved_ops` as slice and word-view ops on
+        the resolved frames; only its SENDFILE ops can still fault.
+        Otherwise the row runs op by op through the checked
+        ``VirtualMemory`` methods, which fault, count and materialize
+        pages exactly as the per-op path does.  A run of one row whose
+        block accesses each argument once (:attr:`BasicBlock.accesses`
+        equals its number of spans) runs op by op without probing.
         """
         n = len(rows)
         if n == 0:
@@ -294,6 +323,26 @@ class DirectMonitor(ExecutionMonitor):
         write_word = memory.write_word
         run_ops = block.run_ops
         nslots = block.nslots
+        if n == 1 and block.accesses == len(block.spans):
+            # One probe per span replaces one checked call per access:
+            # a lone row that accesses each argument once saves nothing
+            # by resolving.  In a longer run, rows reuse probed pages.
+            spans: Sequence[Any] = ()
+            fast_ops = run_ops
+        else:
+            spans = block.spans
+            fast_ops = block.resolved_ops
+            resolve = memory.resolve
+            # Per argument: the byte view, word view and base address of
+            # the page its span last resolved to in this run, and its
+            # offset into that page.  A later row whose span lands in the
+            # same page reuses it without a probe: no block op changes a
+            # protection or unmaps, so the page stays resolved for the
+            # rest of the run.
+            frames: List[Any] = [None] * block.n_args
+            words: List[Any] = [None] * block.n_args
+            bases: List[Any] = [_NO_PAGE] * block.n_args
+            deltas: List[int] = [0] * block.n_args
         results: List[List[Any]] = []
         completed = 0
         index = 0
@@ -301,47 +350,106 @@ class DirectMonitor(ExecutionMonitor):
             for row in rows:
                 regs: List[Any] = [0] * nslots
                 out: List[Any] = []
-                # COMPUTE ops are pre-filtered out of run_ops (their
-                # cycles are in the up-front charge); the chain is
-                # ordered by op frequency in the serving workloads.
-                for index, op in run_ops:
-                    code = op[0]
-                    if code == OP_COPY:
-                        memory.write(row[op[1]] + op[2],
-                                     memory.read(row[op[3]] + op[4],
-                                                 op[5]))
-                    elif code == OP_SENDFILE:
-                        memory.check_read(row[op[1]] + op[2], op[3])
-                        out.append(op[3])
-                    elif code == OP_FILL:
-                        memory.fill(row[op[1]] + op[2], op[3], op[4])
-                    elif code == OP_SYSCALL_OUT:
-                        out.append(memory.read(row[op[1]] + op[2],
-                                               op[3]))
-                    elif code == OP_READ:
-                        regs[op[4]] = memory.read(row[op[1]] + op[2],
-                                                  op[3])
-                    elif code == OP_WRITE_IMM:
-                        memory.write(row[op[1]] + op[2], op[4])
-                    elif code == OP_READ_W:
-                        regs[op[3]] = read_word(row[op[1]] + op[2])
-                    elif code == OP_USE_W:
-                        out.append(regs[op[1]])
-                    elif code == OP_WRITE_ARG_W:
-                        write_word(row[op[1]] + op[2], row[op[3]])
-                    elif code == OP_WRITE_IMM_W:
-                        write_word(row[op[1]] + op[2], op[4])
-                    elif code == OP_WRITE_IMM_PAIR:
-                        memory.write_word_pair(row[op[1]] + op[2], op[4],
-                                               op[5])
-                    elif code == OP_WRITE_REG_W:
-                        write_word(row[op[1]] + op[2], regs[op[3]])
-                    elif code == OP_WRITE_REG:
-                        memory.write(row[op[1]] + op[2], regs[op[3]])
-                    elif code == OP_USE:
-                        out.append(int.from_bytes(regs[op[1]], "little"))
-                    else:  # OP_SYSCALL_IN
-                        memory.write(row[op[1]] + op[2], op[3])
+                ops = fast_ops
+                for argi, lo, size, needed in spans:
+                    address = row[argi] + lo
+                    if not 0 <= address - bases[argi] <= PAGE_SIZE - size:
+                        view = resolve(address, size, needed)
+                        if view is None:
+                            ops = run_ops
+                            break
+                        frames[argi], words[argi], bases[argi] = view
+                    deltas[argi] = row[argi] - bases[argi]
+                if ops is run_ops:
+                    # COMPUTE ops are pre-filtered out of run_ops (their
+                    # cycles are in the up-front charge); the chain is
+                    # ordered by op frequency in the serving workloads.
+                    for index, op in run_ops:
+                        code = op[0]
+                        if code == OP_COPY:
+                            memory.write(row[op[1]] + op[2],
+                                         memory.read(row[op[3]] + op[4],
+                                                     op[5]))
+                        elif code == OP_SENDFILE:
+                            memory.check_read(row[op[1]] + op[2], op[3])
+                            out.append(op[3])
+                        elif code == OP_FILL:
+                            memory.fill(row[op[1]] + op[2], op[3], op[4])
+                        elif code == OP_SYSCALL_OUT:
+                            out.append(memory.read(row[op[1]] + op[2],
+                                                   op[3]))
+                        elif code == OP_READ:
+                            regs[op[4]] = memory.read(row[op[1]] + op[2],
+                                                      op[3])
+                        elif code == OP_WRITE_IMM:
+                            memory.write(row[op[1]] + op[2], op[4])
+                        elif code == OP_READ_W:
+                            regs[op[3]] = read_word(row[op[1]] + op[2])
+                        elif code == OP_USE_W:
+                            out.append(regs[op[1]])
+                        elif code == OP_WRITE_ARG_W:
+                            write_word(row[op[1]] + op[2], row[op[3]])
+                        elif code == OP_WRITE_IMM_W:
+                            write_word(row[op[1]] + op[2], op[4])
+                        elif code == OP_WRITE_IMM_PAIR:
+                            memory.write_word_pair(row[op[1]] + op[2],
+                                                   op[4], op[5])
+                        elif code == OP_WRITE_REG_W:
+                            write_word(row[op[1]] + op[2], regs[op[3]])
+                        elif code == OP_WRITE_REG:
+                            memory.write(row[op[1]] + op[2], regs[op[3]])
+                        elif code == OP_USE:
+                            out.append(int.from_bytes(regs[op[1]],
+                                                      "little"))
+                        else:  # OP_SYSCALL_IN
+                            memory.write(row[op[1]] + op[2], op[3])
+                else:
+                    # Resolved: ``at`` is an offset in the op's frame.
+                    for index, op in ops:
+                        code = op[0]
+                        if code == OP_STORE:
+                            at = deltas[op[1]]
+                            frames[op[1]][at + op[2]:at + op[3]] = op[4]
+                        elif code == OP_SENDFILE:
+                            memory.check_read(row[op[1]] + op[2], op[3])
+                            out.append(op[3])
+                        elif code == OP_USE_W:
+                            out.append(regs[op[1]])
+                        elif code == OP_USE:
+                            out.append(int.from_bytes(regs[op[1]],
+                                                      "little"))
+                        elif code == OP_READ_W:
+                            at = deltas[op[1]] + op[2]
+                            regs[op[3]] = (
+                                int.from_bytes(frames[op[1]][at:at + 8],
+                                               "little")
+                                if at & 7 else words[op[1]][at >> 3])
+                        elif code == OP_READ:
+                            at = deltas[op[1]] + op[2]
+                            regs[op[4]] = bytes(
+                                frames[op[1]][at:at + op[3]])
+                        elif code == OP_WRITE_REG:
+                            at = deltas[op[1]] + op[2]
+                            frames[op[1]][at:at + op[4]] = regs[op[3]]
+                        elif code == OP_SYSCALL_OUT:
+                            at = deltas[op[1]] + op[2]
+                            out.append(bytes(
+                                frames[op[1]][at:at + op[3]]))
+                        elif code == OP_COPY:
+                            at = deltas[op[1]] + op[2]
+                            src = deltas[op[3]] + op[4]
+                            frames[op[1]][at:at + op[5]] = \
+                                frames[op[3]][src:src + op[5]]
+                        else:  # OP_WRITE_ARG_W, OP_WRITE_REG_W
+                            at = deltas[op[1]] + op[2]
+                            value = (row[op[3]] & _WORD_MASK
+                                     if code == OP_WRITE_ARG_W
+                                     else regs[op[3]])
+                            if at & 7:
+                                frames[op[1]][at:at + 8] = \
+                                    value.to_bytes(8, "little")
+                            else:
+                                words[op[1]][at >> 3] = value
                 results.append(out)
                 completed += 1
         except SegmentationFault:

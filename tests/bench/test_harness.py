@@ -97,6 +97,26 @@ class TestRunBench:
                            baseline=str(artifact))
         assert status == 1
 
+    @pytest.mark.parametrize("repeat", [1, 3])
+    @pytest.mark.parametrize("suite", ["serving", "fuzz", "synth"])
+    def test_repeat_reaches_every_suite(self, tmp_path, monkeypatch,
+                                        suite, repeat):
+        """``--repeat N`` times a suite ``N`` times and records ``N``."""
+        received = []
+
+        def fake_suite(scale, repeat):
+            received.append(repeat)
+            return SuiteReport(suite, scale, repeat,
+                               [BenchResult(f"{suite}_fake", 1, 1.0)])
+
+        monkeypatch.setattr(harness, f"run_{suite}_suite", fake_suite)
+        status = run_bench(suites=suite, scale=0.05, repeat=repeat,
+                           out_dir=str(tmp_path))
+        assert status == 0
+        assert received == [repeat]
+        doc = json.loads((tmp_path / f"BENCH_{suite}.json").read_text())
+        assert doc["repeat"] == repeat
+
 
 class TestUsageErrors:
     """Bad arguments and unreadable baselines exit 2 with one stderr

@@ -249,6 +249,48 @@ class TestResidency:
         assert memory.resident_pages == 0
 
 
+class TestResolve:
+    """``resolve`` hands out a resident page's views and nothing else."""
+
+    def test_resident_span_resolves_to_its_frame(self, memory):
+        address = memory.mmap(2 * PAGE_SIZE)
+        memory.write(address + 16, b"resolved")
+        frame, words, page_base = memory.resolve(address + 16, 8, PROT_RW)
+        assert page_base == address
+        assert bytes(frame[16:24]) == b"resolved"
+        assert words[2] == int.from_bytes(b"resolved", "little")
+
+    @pytest.mark.parametrize("case", ["straddle", "untouched", "unmapped",
+                                      "read_only", "guard", "negative"])
+    def test_unresolvable_spans_are_none(self, memory, case):
+        address = memory.mmap(4 * PAGE_SIZE)
+        for page in range(3):
+            memory.write(address + page * PAGE_SIZE, b"x")
+        memory.mprotect(address + PAGE_SIZE, PAGE_SIZE, PROT_READ)
+        memory.mprotect(address + 2 * PAGE_SIZE, PAGE_SIZE, PROT_NONE)
+        span = {
+            "straddle": (address + PAGE_SIZE - 4, 8, PROT_READ),
+            "untouched": (address + 3 * PAGE_SIZE, 8, PROT_READ),
+            "unmapped": (address + 4 * PAGE_SIZE, 8, PROT_READ),
+            "read_only": (address + PAGE_SIZE, 8, PROT_RW),
+            "guard": (address + 2 * PAGE_SIZE, 8, PROT_READ),
+            "negative": (-PAGE_SIZE, 8, PROT_READ),
+        }[case]
+        resident = memory.resident_pages
+        assert memory.resolve(*span) is None
+        assert memory.resident_pages == resident
+        assert memory.fault_count == 0
+
+    def test_leaves_the_translation_cache_alone(self, memory):
+        address = memory.mmap(2 * PAGE_SIZE)
+        memory.write_word(address, 1)
+        memory.write_word(address + PAGE_SIZE, 2)
+        memory.resolve(address, 8, PROT_READ)
+        # Still cached: the word load of the second page hits the TLB.
+        assert memory._tlb_page == (address + PAGE_SIZE) // PAGE_SIZE
+        assert memory.read_word(address) == 1
+
+
 class TestIntrospection:
     def test_iter_mappings_merges_runs(self, memory):
         a = memory.mmap(2 * PAGE_SIZE)

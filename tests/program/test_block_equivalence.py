@@ -21,17 +21,30 @@ consumed.  Hypothesis generates arbitrary blocks and this suite holds
 all three paths to that promise, plus allocator-trace and
 attack-outcome equivalence for block-using guest programs, row runs
 with a faulting row, and the fused executor's fallback for blocks built
-under another cost model.
+under another cost model.  A last section places rows where page
+resolution must fall back (spans across a page boundary, on untouched,
+read-only and guard pages, two arguments on one page) and pins the
+dead-load rule and the resolved fast path.
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.allocator.libc import LibcAllocator
 from repro.defense.interpose import DefendedAllocator
 from repro.defense.patch_table import PatchTable
 from repro.machine.errors import SegmentationFault
+from repro.machine.layout import PAGE_SIZE
+from repro.machine.memory import (
+    PROT_NONE,
+    PROT_READ,
+    PROT_RW,
+    PROT_WRITE,
+    VirtualMemory,
+)
 from repro.patch.model import HeapPatch
 from repro.program.blocks import BlockBuilder, BlockError
 from repro.program.callgraph import CallGraph
@@ -40,6 +53,11 @@ from repro.program.cost import DEFAULT_COST_MODEL, CostModel, CycleMeter
 from repro.program.monitor import DirectMonitor, ExecutionMonitor
 from repro.program.process import Process
 from repro.vulntypes import VulnType
+from repro.workloads.services.mysql import (
+    PAGE_INIT_BLOCK,
+    POOL_PAGE_SIZE,
+    QUERY_BLOCK,
+)
 
 #: User size of each scratch buffer the generated blocks address.
 BUF = 256
@@ -602,3 +620,224 @@ class TestSendfile:
         with pytest.raises(SegmentationFault) as excinfo:
             run_in_main(process, body)
         assert excinfo.value.access == "read"
+
+
+# ---------------------------------------------------------------------------
+# Page-resolved rows: spans, dead loads and the per-row fallback
+# ---------------------------------------------------------------------------
+
+#: Pages of the resolution arena, in address order: two resident
+#: read-write pages, a mapped page nothing has written, a resident
+#: read-only page and a PROT_NONE guard page.
+RESIDENT_A, RESIDENT_B, UNTOUCHED, READ_ONLY, GUARD = range(5)
+ARENA_PAGES = 5
+
+
+def resolution_process():
+    """A process over the resolution arena; returns it and the arena's
+    base address.  Nothing is charged to the meter."""
+    heap = LibcAllocator()
+    process = make_process(heap)
+    memory = heap.memory
+    base = memory.mmap(ARENA_PAGES * PAGE_SIZE)
+    for page in (RESIDENT_A, RESIDENT_B, READ_ONLY):
+        memory.write(base + page * PAGE_SIZE,
+                     bytes((i * 7 + page) % 251 + 1
+                           for i in range(PAGE_SIZE)))
+    memory.mprotect(base + READ_ONLY * PAGE_SIZE, PAGE_SIZE, PROT_READ)
+    memory.mprotect(base + GUARD * PAGE_SIZE, PAGE_SIZE, PROT_NONE)
+    return process, base
+
+
+def observe_resolution(runner, block, placements):
+    """Run ``block`` over rows placed in the resolution arena (each
+    argument a ``(page, offset)``); return every observable."""
+    process, base = resolution_process()
+    memory = process.monitor.memory
+    rows = [tuple(base + page * PAGE_SIZE + offset
+                  for page, offset in row) + (EXTRA_ARG,)
+            for row in placements]
+    state = {"outputs": None, "fault": None}
+    try:
+        state["outputs"] = [normalize(out)
+                            for out in runner(process, block, rows)]
+    except SegmentationFault as fault:
+        state["fault"] = (fault.address - base, fault.access, fault.size)
+    state.update(
+        memory=memory.peek(base, (ARENA_PAGES + 1) * PAGE_SIZE),
+        meter=process.meter.snapshot(),
+        fault_count=memory.fault_count,
+        resident_pages=memory.resident_pages,
+        peak_resident_pages=memory.peak_resident_pages)
+    return state
+
+
+#: Offsets in a page: near its start, where a block's span can run
+#: into the next page, or anywhere.
+_page_offset = st.one_of(st.integers(0, 64),
+                         st.integers(PAGE_SIZE - BUF - 32, PAGE_SIZE - 1),
+                         st.integers(0, PAGE_SIZE - 1))
+_placement = st.tuples(st.integers(0, ARENA_PAGES - 1), _page_offset)
+_placement_rows = st.lists(st.tuples(_placement, _placement),
+                           min_size=1, max_size=4)
+
+
+def _counted(name):
+    original = getattr(VirtualMemory, name)
+
+    def method(self, *args):
+        self.calls[name] += 1
+        return original(self, *args)
+    method.__name__ = name
+    return method
+
+
+#: A ``VirtualMemory`` that counts its per-op access calls and its
+#: resolution probes in ``calls``.
+CountingMemory = type("CountingMemory", (VirtualMemory,), {
+    "__slots__": ("calls",),
+    **{name: _counted(name)
+       for name in ("read", "write", "read_word", "write_word",
+                    "read_word_pair", "write_word_pair", "fill",
+                    "check_read", "resolve")}})
+
+
+class TestPageResolution:
+    @settings(deadline=None)
+    @given(block_descriptors(), _placement_rows)
+    @example(descriptors=[("write", 0, 0, b"0123456789abcdef")],
+             placements=[((RESIDENT_A, 0), (RESIDENT_B, 0)),
+                         ((RESIDENT_A, PAGE_SIZE - 8), (RESIDENT_B, 0))])
+    @example(descriptors=[("read", 0, 8, 8), ("branch_on", 0)],
+             placements=[((UNTOUCHED, 16), (RESIDENT_A, 0)),
+                         ((RESIDENT_A, 16), (RESIDENT_A, 0))])
+    @example(descriptors=[("fill", 1, 0, 32, 9), ("read", 0, 0, 12)],
+             placements=[((UNTOUCHED, 16), (UNTOUCHED, 64)),
+                         ((UNTOUCHED, 16), (UNTOUCHED, 64))])
+    @example(descriptors=[("read", 0, 0, 4), ("write", 0, 8, b"ro")],
+             placements=[((READ_ONLY, 32), (RESIDENT_A, 0)),
+                         ((RESIDENT_B, 0), (RESIDENT_A, 0))])
+    @example(descriptors=[("write", 1, 0, b"first"), ("read", 0, 0, 8)],
+             placements=[((RESIDENT_A, 0), (RESIDENT_B, 0)),
+                         ((GUARD, 0), (RESIDENT_B, 64))])
+    @example(descriptors=[("write", 0, 40, b"aliased!"),  # read back
+                          ("read", 1, 8, 8), ("branch_on", 0),
+                          ("copy", 1, 64, 0, 40, 8)],
+             placements=[((RESIDENT_A, 0), (RESIDENT_A, 32)),
+                         ((RESIDENT_B, 96), (RESIDENT_B, 96))])
+    def test_resolved_run_matches_interpret(self, descriptors, placements):
+        """Row bases that straddle pages, land on untouched, read-only
+        or guard pages, or alias one page: a fused run leaves what
+        interpreting each row leaves."""
+        block = build_block(descriptors)
+        reference = observe_resolution(interpret_rows, block, placements)
+        assert observe_resolution(exec_block_run, block,
+                                  placements) == reference
+
+    def test_spans_and_dead_loads(self):
+        builder = BlockBuilder()
+        builder.read(0, 256, 128)              # dead
+        live = builder.read(0, 8, 8)
+        builder.write_value(1, 0, live)
+        builder.copy(1, 16, 2, 4, 8)
+        builder.sendfile(2, 0, 1 << 16)        # stays on check_read
+        builder.compute(3)
+        block = builder.build()
+        assert block.spans == ((0, 8, 376, PROT_READ),
+                               (1, 0, 24, PROT_WRITE),
+                               (2, 4, 8, PROT_READ))
+        assert [i for i, _ in block.resolved_ops] == [1, 2, 3, 4]
+        assert [i for i, _ in block.run_ops] == [0, 1, 2, 3, 4]
+        builder = BlockBuilder()
+        builder.fill(0, 0, 8, 0)
+        builder.read(0, 0, 8)
+        assert builder.build().spans == ((0, 0, 8, PROT_RW),)
+
+    def test_dead_load_on_guard_page_still_faults(self):
+        """A load nothing reads is dropped from resolved rows, but its
+        permission check is not: a row whose only access to an
+        argument is such a load on a guard page falls back and faults
+        at that op, with the per-op cycle prefix."""
+        builder = BlockBuilder()
+        builder.write(0, 0, b"landed")
+        builder.compute(9)
+        builder.read(1, 0, 8)               # nothing reads the slot
+        builder.write(0, 64, b"never")
+        block = builder.build()
+        assert [i for i, _ in block.resolved_ops] == [0, 3]
+        placements = [((RESIDENT_A, 0), (RESIDENT_B, 0)),
+                      ((RESIDENT_A, 128), (GUARD, 0))]
+        reference = observe_resolution(interpret_rows, block, placements)
+        fused = observe_resolution(exec_block_run, block, placements)
+        assert fused == reference
+        assert fused["fault"] == (GUARD * PAGE_SIZE, "read", 8)
+        assert fused["meter"] == {"base": block.base_cycles
+                                  + block.cum_cycles[2]}
+        assert fused["fault_count"] == 1
+        row = RESIDENT_A * PAGE_SIZE + 128
+        assert fused["memory"][row:row + 6] == b"landed"
+        assert fused["memory"][row + 64:row + 69] != b"never"
+
+    @staticmethod
+    def _pool_process():
+        """A process over a :class:`CountingMemory`, with eight mysql
+        pool pages initialized (so resident) and one fresh page."""
+        memory = CountingMemory()
+        memory.calls = Counter()
+        heap = LibcAllocator(memory)
+        process = make_process(heap)
+        pool = [heap.malloc(POOL_PAGE_SIZE) for _ in range(8)]
+        fresh = heap.malloc(POOL_PAGE_SIZE)
+        process.exec_block_run(PAGE_INIT_BLOCK, [(page,) for page in pool])
+        memory.calls.clear()
+        return process, memory, pool, fresh
+
+    def test_resident_query_rows_make_no_per_op_memory_calls(self):
+        """mysql's point query over resident pool pages runs entirely
+        on resolved frames: a row that fell back would call
+        ``read``/``write_word_pair`` and fail this test."""
+        process, memory, pool, fresh = self._pool_process()
+        meter = process.meter.category("base")
+        rows = [(pool[i * 5 % 8],) for i in range(64)]
+        outputs = process.exec_block_run(QUERY_BLOCK, rows)
+        assert outputs == [[] for _ in rows]
+        assert memory.calls.keys() <= {"resolve"}
+        assert (process.meter.category("base") - meter
+                == 64 * QUERY_BLOCK.base_cycles)
+        for page in pool:
+            assert memory.peek(page + 64, 16) == b"\x01" * 16
+
+        # The counter does see a fallback row: a page nothing wrote.
+        memory.calls.clear()
+        process.exec_block_run(QUERY_BLOCK,
+                               [(fresh + PAGE_SIZE,), (pool[0],)])
+        assert memory.calls == Counter(resolve=2, read=1,
+                                       write_word_pair=1)
+
+    def test_lone_row_probes_only_when_that_saves_calls(self):
+        """A one-row run resolves when its block accesses an argument
+        more than once (the query's dead load and store: one probe for
+        two checked calls), and otherwise takes the checked path."""
+        process, memory, pool, _ = self._pool_process()
+        process.exec_block(QUERY_BLOCK, pool[3])
+        assert memory.calls == Counter(resolve=1)
+        builder = BlockBuilder()
+        builder.write(0, 0, b"once")
+        memory.calls.clear()
+        process.exec_block(builder.build(), pool[3])
+        assert memory.calls == Counter(write=1)
+
+    def test_each_run_probes_its_pages_afresh(self):
+        """A page resolved in one run is not trusted by the next: a
+        protection revoked between runs faults at the store."""
+        builder = BlockBuilder()
+        builder.write(0, 0, b"run")
+        block = builder.build()
+        process, base = resolution_process()
+        page = base + RESIDENT_A * PAGE_SIZE
+        process.exec_block_run(block, [(page,), (page + 64,)])
+        process.monitor.memory.mprotect(page, PAGE_SIZE, PROT_READ)
+        with pytest.raises(SegmentationFault) as excinfo:
+            process.exec_block_run(block, [(page + 128,), (page,)])
+        assert excinfo.value.address == page + 128
+        assert process.monitor.memory.peek(page + 64, 3) == b"run"
