@@ -20,16 +20,21 @@ Basic blocks (:mod:`repro.program.blocks`) run one of two ways.  The
 default :meth:`ExecutionMonitor.exec_block` is
 :meth:`~repro.program.blocks.BasicBlock.interpret` on the bound process,
 so an interpreting monitor sees every op.  :class:`DirectMonitor` runs
-them through its one fused executor, :meth:`DirectMonitor.exec_block_run`;
-a single block is a one-row run.  The executor resolves each row's
-argument spans to resident page frames whose permissions cover them
+them through the block's fused executor,
+:meth:`~repro.program.blocks.BasicBlock.fuse`: one straight-line
+function generated per block, which :meth:`DirectMonitor.exec_block_run`
+calls after checking the cost model; a single block is a one-row run.
+The executor resolves each row's argument spans to resident page frames
+whose permissions cover them
 (:meth:`~repro.machine.memory.VirtualMemory.resolve`), probing a page
 once per run.  A row whose spans all resolve runs as slice and
 word-view ops on those frames, without the loads nothing reads; any
 other row runs as per-op calls on the checked memory methods, which
 fault, count faults and materialize first-touched pages.  A lone row
 that accesses each argument once skips the probes: they would cost as
-many calls as they save.
+many calls as they save.  No opcode is dispatched here:
+:meth:`~repro.program.blocks.BasicBlock.interpret` is the one
+hand-written per-op executor.
 """
 
 from __future__ import annotations
@@ -38,35 +43,10 @@ import abc
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from ..allocator.base import Allocator
-from ..machine.errors import SegmentationFault
-from ..machine.layout import PAGE_SIZE
 from ..machine.memory import VirtualMemory
-from .blocks import (
-    OP_COPY,
-    OP_FILL,
-    OP_READ,
-    OP_READ_W,
-    OP_SENDFILE,
-    OP_STORE,
-    OP_SYSCALL_IN,
-    OP_SYSCALL_OUT,
-    OP_USE,
-    OP_USE_W,
-    OP_WRITE_ARG_W,
-    OP_WRITE_IMM,
-    OP_WRITE_IMM_PAIR,
-    OP_WRITE_IMM_W,
-    OP_WRITE_REG,
-    OP_WRITE_REG_W,
-    BasicBlock,
-)
+from .blocks import BasicBlock
 from .cost import CycleMeter
 from .values import TaggedValue
-
-_WORD_MASK = (1 << 64) - 1
-#: ``bases`` entry of an argument with no page resolved yet: no address
-#: lies within a page of it.
-_NO_PAGE = float("inf")
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .process import Process
@@ -307,155 +287,15 @@ class DirectMonitor(ExecutionMonitor):
         pages exactly as the per-op path does.  A run of one row whose
         block accesses each argument once (:attr:`BasicBlock.accesses`
         equals its number of spans) runs op by op without probing.
+
+        All of this is the block's generated executor
+        (:meth:`BasicBlock.fuse`); this method only checks that the
+        block's pre-computed charges belong to the meter's cost model.
         """
-        n = len(rows)
-        if n == 0:
-            return []
         if block.model is not self.meter.model:
             # The block's pre-computed charges belong to another cost
             # model; interpret per op so the meter's model is consulted.
             process = self.process
             return [block.interpret(process, row) for row in rows]
-        base_cycles = block.base_cycles
-        self._charge("base", base_cycles * n)
-        memory = self.memory
-        read_word = memory.read_word
-        write_word = memory.write_word
-        run_ops = block.run_ops
-        nslots = block.nslots
-        if n == 1 and block.accesses == len(block.spans):
-            # One probe per span replaces one checked call per access:
-            # a lone row that accesses each argument once saves nothing
-            # by resolving.  In a longer run, rows reuse probed pages.
-            spans: Sequence[Any] = ()
-            fast_ops = run_ops
-        else:
-            spans = block.spans
-            fast_ops = block.resolved_ops
-            resolve = memory.resolve
-            # Per argument: the byte view, word view and base address of
-            # the page its span last resolved to in this run, and its
-            # offset into that page.  A later row whose span lands in the
-            # same page reuses it without a probe: no block op changes a
-            # protection or unmaps, so the page stays resolved for the
-            # rest of the run.
-            frames: List[Any] = [None] * block.n_args
-            words: List[Any] = [None] * block.n_args
-            bases: List[Any] = [_NO_PAGE] * block.n_args
-            deltas: List[int] = [0] * block.n_args
-        results: List[List[Any]] = []
-        completed = 0
-        index = 0
-        try:
-            for row in rows:
-                regs: List[Any] = [0] * nslots
-                out: List[Any] = []
-                ops = fast_ops
-                for argi, lo, size, needed in spans:
-                    address = row[argi] + lo
-                    if not 0 <= address - bases[argi] <= PAGE_SIZE - size:
-                        view = resolve(address, size, needed)
-                        if view is None:
-                            ops = run_ops
-                            break
-                        frames[argi], words[argi], bases[argi] = view
-                    deltas[argi] = row[argi] - bases[argi]
-                if ops is run_ops:
-                    # COMPUTE ops are pre-filtered out of run_ops (their
-                    # cycles are in the up-front charge); the chain is
-                    # ordered by op frequency in the serving workloads.
-                    for index, op in run_ops:
-                        code = op[0]
-                        if code == OP_COPY:
-                            memory.write(row[op[1]] + op[2],
-                                         memory.read(row[op[3]] + op[4],
-                                                     op[5]))
-                        elif code == OP_SENDFILE:
-                            memory.check_read(row[op[1]] + op[2], op[3])
-                            out.append(op[3])
-                        elif code == OP_FILL:
-                            memory.fill(row[op[1]] + op[2], op[3], op[4])
-                        elif code == OP_SYSCALL_OUT:
-                            out.append(memory.read(row[op[1]] + op[2],
-                                                   op[3]))
-                        elif code == OP_READ:
-                            regs[op[4]] = memory.read(row[op[1]] + op[2],
-                                                      op[3])
-                        elif code == OP_WRITE_IMM:
-                            memory.write(row[op[1]] + op[2], op[4])
-                        elif code == OP_READ_W:
-                            regs[op[3]] = read_word(row[op[1]] + op[2])
-                        elif code == OP_USE_W:
-                            out.append(regs[op[1]])
-                        elif code == OP_WRITE_ARG_W:
-                            write_word(row[op[1]] + op[2], row[op[3]])
-                        elif code == OP_WRITE_IMM_W:
-                            write_word(row[op[1]] + op[2], op[4])
-                        elif code == OP_WRITE_IMM_PAIR:
-                            memory.write_word_pair(row[op[1]] + op[2],
-                                                   op[4], op[5])
-                        elif code == OP_WRITE_REG_W:
-                            write_word(row[op[1]] + op[2], regs[op[3]])
-                        elif code == OP_WRITE_REG:
-                            memory.write(row[op[1]] + op[2], regs[op[3]])
-                        elif code == OP_USE:
-                            out.append(int.from_bytes(regs[op[1]],
-                                                      "little"))
-                        else:  # OP_SYSCALL_IN
-                            memory.write(row[op[1]] + op[2], op[3])
-                else:
-                    # Resolved: ``at`` is an offset in the op's frame.
-                    for index, op in ops:
-                        code = op[0]
-                        if code == OP_STORE:
-                            at = deltas[op[1]]
-                            frames[op[1]][at + op[2]:at + op[3]] = op[4]
-                        elif code == OP_SENDFILE:
-                            memory.check_read(row[op[1]] + op[2], op[3])
-                            out.append(op[3])
-                        elif code == OP_USE_W:
-                            out.append(regs[op[1]])
-                        elif code == OP_USE:
-                            out.append(int.from_bytes(regs[op[1]],
-                                                      "little"))
-                        elif code == OP_READ_W:
-                            at = deltas[op[1]] + op[2]
-                            regs[op[3]] = (
-                                int.from_bytes(frames[op[1]][at:at + 8],
-                                               "little")
-                                if at & 7 else words[op[1]][at >> 3])
-                        elif code == OP_READ:
-                            at = deltas[op[1]] + op[2]
-                            regs[op[4]] = bytes(
-                                frames[op[1]][at:at + op[3]])
-                        elif code == OP_WRITE_REG:
-                            at = deltas[op[1]] + op[2]
-                            frames[op[1]][at:at + op[4]] = regs[op[3]]
-                        elif code == OP_SYSCALL_OUT:
-                            at = deltas[op[1]] + op[2]
-                            out.append(bytes(
-                                frames[op[1]][at:at + op[3]]))
-                        elif code == OP_COPY:
-                            at = deltas[op[1]] + op[2]
-                            src = deltas[op[3]] + op[4]
-                            frames[op[1]][at:at + op[5]] = \
-                                frames[op[3]][src:src + op[5]]
-                        else:  # OP_WRITE_ARG_W, OP_WRITE_REG_W
-                            at = deltas[op[1]] + op[2]
-                            value = (row[op[3]] & _WORD_MASK
-                                     if code == OP_WRITE_ARG_W
-                                     else regs[op[3]])
-                            if at & 7:
-                                frames[op[1]][at:at + 8] = \
-                                    value.to_bytes(8, "little")
-                            else:
-                                words[op[1]][at >> 3] = value
-                results.append(out)
-                completed += 1
-        except SegmentationFault:
-            # completed rows charged in full; the faulting row charged
-            # its per-op prefix; the remaining rows charged nothing.
-            self._charge("base", block.cum_cycles[index]
-                         - base_cycles * (n - completed))
-            raise
-        return results
+        return (block.fused or block.fuse())(self.memory, self._charge,
+                                             rows)

@@ -3,16 +3,24 @@
 The parallel engine ships a :class:`DiagnosisPlan` to workers and gets
 :class:`DiagnosisResult` objects back; both directions go through
 pickle, so every record in the chain must survive a round-trip intact
-(and, being frozen dataclasses, compare equal afterwards).
+(and, being frozen dataclasses, compare equal afterwards).  The serving
+engine pickles its whole plan, program included, so a basic block that
+has run must pickle too, and its copy must run like the original.
 """
 
 import pickle
 
 import pytest
 
+from repro.allocator.libc import LibcAllocator
 from repro.parallel import DiagnosisPool, DiagnosisResult
 from repro.parallel.engine import DiagnosisPlan
 from repro.patch.model import HeapPatch
+from repro.program.blocks import BlockBuilder
+from repro.program.callgraph import CallGraph
+from repro.program.cost import CycleMeter
+from repro.program.monitor import DirectMonitor
+from repro.program.process import Process
 from repro.shadow.report import BufferRecord, ReportSummary
 from repro.vulntypes import VulnType
 from repro.workloads.corpus import AttackCorpus, CorpusEntry, table2_corpus
@@ -83,3 +91,40 @@ class TestLiveObjects:
         diagnosis = DiagnosisPool(jobs=1).diagnose(table2_corpus())
         for result in diagnosis.results:
             assert roundtrip(result) == result
+
+
+def _run_block(block, rows):
+    """Run ``block`` fused over ``rows`` (offsets into two fresh
+    buffers, one page apart) on a fresh process whose meter uses the
+    block's cost model; return the outputs, buffers and cycles."""
+    heap = LibcAllocator()
+    meter = CycleMeter(model=block.model)
+    process = Process(CallGraph(), monitor=DirectMonitor(
+        heap.memory, heap, meter), meter=meter)
+    buffers = [heap.malloc(4096), heap.malloc(4096)]
+    outputs = process.exec_block_run(
+        block, [(buffers[0] + r, buffers[1] + r) for r in rows])
+    return (outputs, [heap.memory.read(b, 4096) for b in buffers],
+            meter.snapshot())
+
+
+class TestBasicBlocks:
+    def test_run_block_round_trips_and_regenerates(self):
+        builder = BlockBuilder()
+        builder.write(0, 0, b"pickled!")
+        builder.fill(0, 8, 24, 0x5A)
+        slot = builder.read(0, 0, 8)
+        builder.write_value(1, 16, slot)
+        builder.branch_on(slot)
+        builder.syscall_out(1, 16, 8)
+        block = builder.build()
+        rows = (0, 64, 128)
+        ran = _run_block(block, rows)
+        assert block.fused is not None
+        clone = roundtrip(block)
+        assert clone.fused is None
+        assert clone.ops == block.ops
+        assert clone.cum_cycles == block.cum_cycles
+        assert _run_block(clone, rows) == ran
+        assert clone.fused is not None
+        assert clone.fused is not block.fused

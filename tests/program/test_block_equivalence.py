@@ -11,7 +11,8 @@ The substrate has two block executors, reached three ways:
    path), and
 3. the fused fast path — ``process.exec_block`` on a ``DirectMonitor``,
    a one-row ``exec_block_run`` with one batched cycle charge and
-   direct word-view memory traffic.
+   direct word-view memory traffic, run by the block's generated
+   executor (``BasicBlock.fuse``).
 
 The module docstrings of ``repro.program.blocks`` and
 ``repro.program.monitor`` promise these are observationally identical:
@@ -24,8 +25,14 @@ with a faulting row, and the fused executor's fallback for blocks built
 under another cost model.  A last section places rows where page
 resolution must fall back (spans across a page boundary, on untouched,
 read-only and guard pages, two arguments on one page) and pins the
-dead-load rule and the resolved fast path.
+dead-load rule and the resolved fast path.  The builder's operand
+checks and the executor generator (shared code with per-block
+constants, Python 3.9 syntax for every bundled block, the bounded code
+cache) close the suite.
 """
+
+import ast
+import warnings
 
 from collections import Counter
 
@@ -46,7 +53,8 @@ from repro.machine.memory import (
     VirtualMemory,
 )
 from repro.patch.model import HeapPatch
-from repro.program.blocks import BlockBuilder, BlockError
+from repro.program import blocks
+from repro.program.blocks import BlockBuilder, BlockError, executor_source
 from repro.program.callgraph import CallGraph
 from repro.program.context import ContextSource
 from repro.program.cost import DEFAULT_COST_MODEL, CostModel, CycleMeter
@@ -57,6 +65,11 @@ from repro.workloads.services.mysql import (
     PAGE_INIT_BLOCK,
     POOL_PAGE_SIZE,
     QUERY_BLOCK,
+)
+from repro.workloads.services.nginx import (
+    DOCUMENT_TREE,
+    MISSING_PATH,
+    NginxServer,
 )
 
 #: User size of each scratch buffer the generated blocks address.
@@ -841,3 +854,136 @@ class TestPageResolution:
             process.exec_block_run(block, [(page + 128,), (page,)])
         assert excinfo.value.address == page + 128
         assert process.monitor.memory.peek(page + 64, 3) == b"run"
+
+
+# ---------------------------------------------------------------------------
+# Operand checks: only plain ints reach the generated source
+# ---------------------------------------------------------------------------
+
+#: Per emitter: a valid call (slot 0 is a word load made beforehand)
+#: and the positions of its integer operands.
+EMITTERS = (
+    ("compute", (5,), (0,)),
+    ("read", (0, 0, 8), (0, 1, 2)),
+    ("read_int", (0, 0, 4), (0, 1, 2)),
+    ("write", (0, 0, b"data"), (0, 1)),
+    ("write_int", (0, 0, 7), (0, 1)),
+    ("write_arg", (0, 0, 1), (0, 1, 2)),
+    ("write_value", (0, 0, 0), (0, 1, 2)),
+    ("fill", (0, 0, 8, 1), (0, 1, 2, 3)),
+    ("copy", (0, 0, 1, 0, 8), (0, 1, 2, 3, 4)),
+    ("branch_on", (0,), (0,)),
+    ("use_as_address", (0,), (0,)),
+    ("syscall_out", (0, 0, 8), (0, 1, 2)),
+    ("sendfile", (0, 0, 8), (0, 1, 2)),
+    ("syscall_in", (0, 0, b"data"), (0, 1)),
+)
+
+
+def _slotted_builder():
+    builder = BlockBuilder()
+    builder.read(0, 0, 8)
+    return builder
+
+
+class TestOperandChecks:
+    @pytest.mark.parametrize("name,args,positions", EMITTERS,
+                             ids=[e[0] for e in EMITTERS])
+    def test_non_int_operands_rejected(self, name, args, positions):
+        """A bool, float, string or ``None`` in any integer operand is a
+        ``BlockError`` at the emitter, never a later failure."""
+        getattr(_slotted_builder(), name)(*args)
+        for position in positions:
+            for bad in (True, False, 1.0, "1", None):
+                call = list(args)
+                call[position] = bad
+                with pytest.raises(BlockError):
+                    getattr(_slotted_builder(), name)(*call)
+
+    @pytest.mark.parametrize("byte", [-1, 256, 300])
+    def test_fill_byte_out_of_range_rejected(self, byte):
+        with pytest.raises(BlockError):
+            BlockBuilder().fill(0, 0, 4, byte)
+
+
+# ---------------------------------------------------------------------------
+# The generated executor
+# ---------------------------------------------------------------------------
+
+def _stores(data, byte):
+    """One block shape: a 5-byte, an 8-byte and a 16-byte store and a
+    fill, all of their values constants."""
+    builder = BlockBuilder()
+    builder.write(0, 0, data[:5])
+    builder.write(0, 8, data[:8])
+    builder.write(0, 16, data[:16])
+    builder.fill(0, 32, 8, byte)
+    return builder.build()
+
+
+def bundled_blocks():
+    """Every block the bundled services build: each nginx path's
+    request plan (the missing path's and the leak path's included) and
+    stage set-up blocks, and mysql's query and page-init blocks."""
+    server = NginxServer()
+    found = [QUERY_BLOCK, PAGE_INIT_BLOCK]
+    for path in sorted(DOCUMENT_TREE) + [MISSING_PATH]:
+        plan = server._plan(path)
+        found += [plan.fill, plan.cached, plan.lead]
+        found += [stage.setup for stage in plan.stages
+                  if stage.setup is not None]
+    return found
+
+
+class TestGeneratedExecutor:
+    def test_same_shape_shares_code_not_constants(self):
+        """Two blocks that differ only in what they store share one
+        code object; each writes its own bytes and fill byte, on
+        resolved rows and on rows that fall back."""
+        first = _stores(bytes(range(1, 17)), 0xAA)
+        second = _stores(bytes(range(101, 117)), 0x55)
+        assert executor_source(first)[0] == executor_source(second)[0]
+        placements = [((RESIDENT_A, 0),), ((RESIDENT_A, 128),),
+                      ((UNTOUCHED, 0),)]
+        for block, data, byte in ((first, bytes(range(1, 17)), 0xAA),
+                                  (second, bytes(range(101, 117)), 0x55)):
+            fused = observe_resolution(exec_block_run, block, placements)
+            assert fused == observe_resolution(interpret_rows, block,
+                                               placements)
+            for page, offset in (row[0] for row in placements):
+                memory = fused["memory"][page * PAGE_SIZE + offset:]
+                assert memory[:5] == data[:5]
+                assert memory[8:16] == data[:8]
+                assert memory[16:32] == data[:16]
+                assert memory[32:40] == bytes((byte,)) * 8
+        assert first.fused is not second.fused
+        assert first.fused.__code__ is second.fused.__code__
+
+    @pytest.mark.parametrize("block", bundled_blocks())
+    def test_bundled_sources_parse_as_python_3_9(self, block):
+        """The generated source needs nothing newer than the oldest
+        supported Python, and compiles without a warning."""
+        source, _ = executor_source(block)
+        ast.parse(source, feature_version=(3, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(source, "<basic block>", "exec")
+
+    def test_code_cache_stays_bounded(self):
+        """Compiling more distinct shapes than the cache holds evicts
+        the oldest factories; blocks keep their own executors."""
+        shapes = []
+        for offset in range(blocks.FACTORY_LIMIT + 8):
+            builder = BlockBuilder()
+            builder.fill(0, offset, 8, 0x11)
+            shapes.append(builder.build())
+        for block in shapes:
+            block.fuse()
+            assert len(blocks._FACTORIES) <= blocks.FACTORY_LIMIT
+        assert executor_source(shapes[0])[0] not in blocks._FACTORIES
+        assert executor_source(shapes[-1])[0] in blocks._FACTORIES
+        for block in (shapes[0], shapes[-1]):
+            state = observe_resolution(exec_block_run, block,
+                                       [((RESIDENT_A, 0),)] * 2)
+            assert state == observe_resolution(interpret_rows, block,
+                                               [((RESIDENT_A, 0),)] * 2)
