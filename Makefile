@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-diagnosis bench-paper \
-	bench-full examples lint clean
+.PHONY: install test test-output bench bench-diagnosis bench-paper \
+	bench-output bench-full examples lint clean
 
 install:
 	pip install -e .
@@ -67,6 +67,9 @@ examples:
 	done
 	@echo "all examples ran cleanly"
 
+# Generated, untracked artifacts only: benchmarks/results holds the
+# committed paper tables and the BENCH_diagnosis.json baseline.
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis perf/out
+	rm -f test_output.txt bench_output.txt profile_*.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

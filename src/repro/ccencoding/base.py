@@ -26,7 +26,7 @@ sibling subtree's value behind.  See ``DESIGN.md`` §5.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..program.callgraph import CallGraph, CallSite
 
@@ -66,6 +66,16 @@ class Codec(abc.ABC):
     @abc.abstractmethod
     def mix(self, value: int, site: CallSite) -> int:
         """Fold one instrumented call site into ``value``."""
+
+    def site_step(self, site: CallSite) -> Any:
+        """The per-site operand of :meth:`mix_step`, computed once per
+        bound call site (by default the site itself)."""
+        return site
+
+    def mix_step(self, value: int, step: Any) -> int:
+        """:meth:`mix` from a precomputed :meth:`site_step`:
+        ``mix_step(v, site_step(s)) == mix(v, s)`` for every site."""
+        return self.mix(value, step)
 
     def encode_path(self, path: Sequence[CallSite]) -> int:
         """Statically encode a calling context (a root-to-target path)."""

@@ -9,10 +9,13 @@ enhanced (extra overhead, never incorrectness), exactly the property the
 paper relies on in Section IV.
 
 Site constants are dispersed from dense site ids through SplitMix64 so
-that structurally similar graphs do not produce clustered hashes.
+that structurally similar graphs do not produce clustered hashes; each
+site's constant is computed once per codec.
 """
 
 from __future__ import annotations
+
+from typing import Dict
 
 from ..program.callgraph import CallSite
 from .base import Codec, EncodingScheme, MASK64, splitmix64
@@ -27,12 +30,26 @@ class PCCCodec(Codec):
     #: The multiplier from the PCC paper.
     MULTIPLIER = 3
 
+    def __init__(self, plan: InstrumentationPlan) -> None:
+        super().__init__(plan)
+        #: site id -> constant ``c``, filled on first use.
+        self._constants: Dict[int, int] = {}
+
     def seed(self) -> int:
         return 0
 
     def site_constant(self, site: CallSite) -> int:
         """The per-site constant ``c`` (unique per call site)."""
-        return splitmix64(site.site_id)
+        constant = self._constants.get(site.site_id)
+        if constant is None:
+            constant = splitmix64(site.site_id)
+            self._constants[site.site_id] = constant
+        return constant
+
+    site_step = site_constant
+
+    def mix_step(self, value: int, step: int) -> int:
+        return (self.MULTIPLIER * value + step) & MASK64
 
     def mix(self, value: int, site: CallSite) -> int:
         return (self.MULTIPLIER * value + self.site_constant(site)) & MASK64

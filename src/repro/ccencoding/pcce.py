@@ -142,7 +142,9 @@ class AdditiveCodec(Codec):
         The hook the static repair planner uses to separate a concrete
         pair of colliding contexts: only the sites that actually
         distinguish the pair are re-salted, deterministically, instead
-        of the old blind whole-plan re-salt loop.
+        of the old blind whole-plan re-salt loop.  A process binds each
+        site's constant on its first crossing, so re-salt before
+        building the processes that should see the new constant.
         """
         if site_id not in self.plan.sites:
             raise EncodingError(
@@ -172,6 +174,11 @@ class AdditiveCodec(Codec):
     def site_constant(self, site: CallSite) -> int:
         """The additive constant of an instrumented site."""
         return self._constants.get(site.site_id, 0)
+
+    site_step = site_constant
+
+    def mix_step(self, value: int, step: int) -> int:
+        return (value + step) & self._mask
 
     def mix(self, value: int, site: CallSite) -> int:
         return (value + self.site_constant(site)) & self._mask

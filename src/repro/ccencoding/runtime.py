@@ -10,6 +10,17 @@ time.  The process drives it from exactly the places compiled code would:
 Reading the current CCID is a single register read — that is the whole
 point of encoding versus stack walking, and the cost model reflects it.
 
+The runtime is a :class:`~repro.program.context.RegisterContextSource`:
+:meth:`EncodingRuntime.bind_site` hands the process each site's codec
+step and cycle charge once, and the process keeps ``t`` on its own
+frames and writes ``V``, the counters and the charges itself — the
+uninstrumented call stays a plain call, as in the compiled binary.  The
+hooks below are the same state machine, step by step; they drive the
+runtime when it sits behind another source (a
+:class:`~repro.program.coverage.CoverageTracker`) or under the lock-step
+thread scheduler, and they are the oracle the bound path is tested
+against.
+
 :class:`WalkedContextSource` is the expensive alternative the paper argues
 against: obtaining the context by walking the simulated stack on every
 allocation, charged per frame like a real unwinder.
@@ -21,39 +32,45 @@ import zlib
 from typing import List, Optional
 
 from ..program.callgraph import CallSite
-from ..program.context import ContextSource
+from ..program.context import ContextSource, RegisterContextSource, SiteBinding
 from ..program.cost import CycleMeter
 from .base import Codec
 
 
-class EncodingRuntime(ContextSource):
+class EncodingRuntime(RegisterContextSource):
     """Drives one codec's V register along the dynamic call stack."""
-
-    #: Reading V is one register read with no side effect, so fused
-    #: interposition paths may elide it for provably unpatched functions.
-    pure_ccid = True
 
     def __init__(self, codec: Codec, meter: Optional[CycleMeter] = None) -> None:
         self.codec = codec
         self.plan = codec.plan
-        self.meter = meter
-        self._v: int = codec.seed()
+        super().__init__(meter)
         self._t_stack: List[int] = []
-        #: How many encoding updates actually executed (dynamic count).
-        self.updates_executed: int = 0
-        #: How many call sites were crossed in total (dynamic count).
-        self.sites_crossed: int = 0
+
+    def seed(self) -> int:
+        return self.codec.seed()
+
+    def bind_site(self, site: CallSite) -> SiteBinding:
+        if site.site_id not in self.plan.sites:
+            return None, None, 0
+        cycles = (self.meter.model.encode_site if self.meter is not None
+                  else 0)
+        return self.codec.mix_step, self.codec.site_step(site), cycles
+
+    def prologue_cycles(self, name: str) -> float:
+        if self.meter is None or name not in self.plan.instrumented_functions:
+            return 0
+        return self.meter.model.encode_prologue
 
     # -- ContextSource hooks -------------------------------------------
 
     def enter_function(self, name: str) -> None:
-        self._t_stack.append(self._v)
+        self._t_stack.append(self.value)
         if self.meter is not None and name in self.plan.instrumented_functions:
             self.meter.charge("encoding", self.meter.model.encode_prologue)
 
     def exit_function(self, name: str) -> None:
         self._t_stack.pop()
-        self._v = self._t_stack[-1] if self._t_stack else self.codec.seed()
+        self.value = self._t_stack[-1] if self._t_stack else self.codec.seed()
 
     def at_call_site(self, site: CallSite, count: int = 1) -> None:
         # ``count`` crossings from one frame all mix the same ``t``, so
@@ -61,17 +78,19 @@ class EncodingRuntime(ContextSource):
         self.sites_crossed += count
         t = self._t_stack[-1] if self._t_stack else self.codec.seed()
         if site.site_id in self.plan.sites:
-            self._v = self.codec.mix(t, site)
+            self.value = self.codec.mix(t, site)
             self.updates_executed += count
             if self.meter is not None:
                 self.meter.charge("encoding",
                                   self.meter.model.encode_site * count)
         else:
-            self._v = t
+            self.value = t
 
+    # Restated here, not inherited: the per-layer tracer wraps the
+    # encoding layer's entry points as they appear on this class.
     def current_ccid(self) -> int:
         """Read V — one register read, no extra cost category."""
-        return self._v
+        return self.value
 
 
 class WalkedContextSource(ContextSource):

@@ -8,13 +8,25 @@ provides the execution context:
 * a dynamic call stack (so true calling contexts are known at any moment),
 * dispatch of every heap and memory operation through an
   :class:`~repro.program.monitor.ExecutionMonitor`,
-* hooks into a :class:`~repro.program.context.ContextSource` — the calling
-  context encoding runtime — exactly where instrumented code would run:
-  function prologues and call sites,
+* the calling-context encoding — a
+  :class:`~repro.program.context.ContextSource` — exactly where
+  instrumented code would run: function prologues and call sites,
 * cycle accounting for the deterministic performance model, and
 * an allocation profile (CCID → frequency) used by the Figure 8
   methodology of picking median-frequency CCIDs as hypothesized
   vulnerable ones.
+
+Bound call sites: the first crossing of each ``(caller, callee, label)``
+resolves it on the static graph to a :class:`BoundSite`, kept while the
+graph is frozen, which carries what every later crossing does.  For a
+:class:`~repro.program.context.RegisterContextSource` (the encoding
+runtime, or no tracking) that is the codec's step for the site and the
+summed ``base`` and ``encoding`` cycles, and the process applies the
+crossing itself: an uninstrumented site sets ``V`` to the frame's ``t``,
+an instrumented one folds in one step, and each cost category is charged
+once per call.  Other sources, and every process under the lock-step
+scheduler, are driven through the source's hooks instead — the protocol
+the bound path is tested against (``tests/program/test_bound_sites.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..allocator.base import Allocator
 from .blocks import BasicBlock
 from .callgraph import CallGraph, CallSite
-from .context import ContextSource, NullContextSource
+from .context import ContextSource, NullContextSource, RegisterContextSource
 from .cost import CycleMeter
 from .monitor import DirectMonitor, ExecutionMonitor
 from .values import TaggedValue
@@ -40,12 +52,16 @@ class Frame:
     hottest object types in the simulator.
     """
 
-    __slots__ = ("function", "site")
+    __slots__ = ("function", "site", "t")
 
-    def __init__(self, function: str, site: Optional[CallSite]) -> None:
+    def __init__(self, function: str, site: Optional[CallSite],
+                 t: int = 0) -> None:
         self.function = function
         #: The site through which this frame was entered (None for entry).
         self.site = site
+        #: ``V`` at this frame's prologue: what its bound crossings fold
+        #: from, and what ``V`` returns to when a callee returns here.
+        self.t = t
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Frame({self.function!r}, {self.site!r})"
@@ -64,8 +80,39 @@ class AllocationEvent:
     context: Tuple[int, ...]
 
 
+class BoundSite:
+    """One call site bound, once per process, to what crossing it does.
+
+    ``mix`` and ``step`` are the codec's fold and this site's operand
+    (``mix`` is None when the plan leaves the site uninstrumented);
+    ``base`` is the call's own cycles (0 for a heap call, which the
+    monitor charges) and ``encoding`` the site update plus, for a guest
+    call, the callee's prologue — 0 when the source charges no cycles.
+    """
+
+    __slots__ = ("site", "mix", "step", "base", "encoding")
+
+    def __init__(self, site: CallSite,
+                 mix: Optional[Callable[[int, Any], int]], step: Any,
+                 base: float, encoding: float) -> None:
+        self.site = site
+        self.mix = mix
+        self.step = step
+        self.base = base
+        self.encoding = encoding
+
+
 class ProcessError(RuntimeError):
     """Guest-program structural error (bad call protocol, etc.)."""
+
+
+#: Raised by every call-protocol entry point used outside :meth:`Process.run`.
+_NO_FRAME = "no active frame; use run()"
+
+
+def _charge_nothing(category: str, cycles: float) -> None:
+    """The encoding charge of a source without a meter (never reached:
+    such a source binds every site to 0 encoding cycles)."""
 
 
 class Process:
@@ -79,9 +126,11 @@ class Process:
         context_source: the encoding runtime (or stack walker); defaults
             to no tracking.
         meter: cycle meter; a fresh one is created when omitted.
-        record_allocations: keep an :class:`AllocationEvent` log (the
-            offline analyzer and profiling runs need it; defaults on —
-            disable for the longest benchmark loops).
+        record_allocations: keep an :class:`AllocationEvent` log and the
+            :attr:`live_allocations` map of the same events (the offline
+            analyzer and profiling runs need them; defaults on — the
+            defended and native runs and serving sessions, which have no
+            reader for either, turn it off).
         capture_context: record the true calling context tuple on each
             :class:`AllocationEvent`.  ``True``/``False`` switch the
             whole process; a *collection of site ids* captures tuples
@@ -90,10 +139,6 @@ class Process:
             ``record_allocations`` — when the event log is off the
             tuples would be dropped anyway, so benchmark loops skip
             building them.
-        track_live: maintain the :attr:`live_allocations` address map
-            (defaults on).  Serving sessions turn it off — they never
-            inspect live buffers, and the per-allocation event object it
-            forces is the last per-request cost batching cannot remove.
     """
 
     def __init__(self, graph: CallGraph,
@@ -102,8 +147,7 @@ class Process:
                  context_source: Optional[ContextSource] = None,
                  meter: Optional[CycleMeter] = None,
                  record_allocations: bool = True,
-                 capture_context: Optional[bool] = None,
-                 track_live: bool = True) -> None:
+                 capture_context: Optional[bool] = None) -> None:
         self.graph = graph
         self.meter = meter if meter is not None else CycleMeter()
         if monitor is None:
@@ -118,7 +162,6 @@ class Process:
         self.record_allocations = record_allocations
         self.capture_context = (record_allocations if capture_context is None
                                 else capture_context)
-        self.track_live = track_live
 
         # Hot-path bindings: the call/alloc protocol runs these on every
         # guest call; binding them once removes repeated attribute walks.
@@ -127,18 +170,32 @@ class Process:
         self._enter_function = source.enter_function
         self._exit_function = source.exit_function
         self._current_ccid = source.current_ccid
-        #: A *null* source's hooks are all no-ops and its CCID is the
-        #: constant 0, so the call/alloc protocol may skip invoking them
-        #: — observationally identical, measurably faster.
-        self._null_context = type(source) is NullContextSource
+        register = (source if isinstance(source, RegisterContextSource)
+                    else None)
+        #: Any other source has hooks with effects of their own, so
+        #: every crossing goes through them.
+        self._hooks_only = register is None
+        #: The register this process writes at bound crossings; an idle
+        #: null register (binding no steps, no cycles) for hooks-only
+        #: sources.
+        self._register: RegisterContextSource = (
+            register if register is not None else NullContextSource())
+        #: True while a run drives the hooks (a hooks-only source, or a
+        #: lock-step scheduler); fixed when :meth:`run` starts.
+        self._hooked = self._hooks_only
+        encoding_meter = self._register.meter
+        self._charge_encoding: Callable[[str, float], None] = (
+            encoding_meter.charge if encoding_meter is not None
+            else _charge_nothing)
         #: An impure CCID read (a counted, charged stack walk) must run
         #: once per allocation, so batched runs replay per call.
         self._pure_ccid = source.pure_ccid
         self._charge = self.meter.charge
-        self._call_cost = self.meter.model.call
-        #: (caller, callee, label) -> resolved CallSite; populated only
-        #: while the graph is frozen (site ids are stable then).
-        self._site_cache: Dict[Tuple[str, str, str], CallSite] = {}
+        #: (caller, callee, label) -> BoundSite, for guest calls and for
+        #: heap calls; populated only while the graph is frozen (site
+        #: ids are stable then).
+        self._calls: Dict[Tuple[str, str, str], BoundSite] = {}
+        self._heap_calls: Dict[Tuple[str, str, str], BoundSite] = {}
 
         self._stack: List[Frame] = []
         #: The call site of the allocation currently being dispatched;
@@ -165,7 +222,7 @@ class Process:
     def current_function(self) -> str:
         """Name of the function currently executing."""
         if not self._stack:
-            raise ProcessError("no active frame; use run() or enter()")
+            raise ProcessError(_NO_FRAME)
         return self._stack[-1].function
 
     @property
@@ -182,23 +239,43 @@ class Process:
         """Execute ``program.main`` as the entry function."""
         if self._stack:
             raise ProcessError("process is already running")
-        self._stack.append(Frame(self.graph.entry, None))
-        self._enter_function(self.graph.entry)
+        entry = self.graph.entry
+        self._hooked = self._hooks_only or self.scheduler is not None
+        if self._hooked:
+            self._stack.append(Frame(entry, None))
+            self._enter_function(entry)
+            try:
+                return program.main(self, *args, **kwargs)
+            finally:
+                self._exit_function(entry)
+                self._stack.pop()
+        register = self._register
+        cycles = register.prologue_cycles(entry)
+        if cycles:
+            self._charge_encoding("encoding", cycles)
+        self._stack.append(Frame(entry, None, register.value))
         try:
             return program.main(self, *args, **kwargs)
         finally:
-            self._exit_function(self.graph.entry)
             self._stack.pop()
+            register.value = register.seed()
 
-    def _site(self, caller: str, callee: str, label: str) -> CallSite:
-        """Resolve a call site, memoized while the graph is frozen."""
-        key = (caller, callee, label)
-        call_site = self._site_cache.get(key)
-        if call_site is None:
-            call_site = self.graph.site(caller, callee, label)
-            if self.graph.frozen:
-                self._site_cache[key] = call_site
-        return call_site
+    def _bind(self, bound: Dict[Tuple[str, str, str], BoundSite],
+              caller: str, callee: str, label: str,
+              enters: bool) -> BoundSite:
+        """Resolve a call site and bind what crossing it does; kept in
+        ``bound`` while the graph is frozen.  ``enters``: a guest call,
+        which costs a call and runs the callee's prologue."""
+        call_site = self.graph.site(caller, callee, label)
+        mix, step, encoding = self._register.bind_site(call_site)
+        base = 0
+        if enters:
+            base = self.meter.model.call
+            encoding += self._register.prologue_cycles(callee)
+        record = BoundSite(call_site, mix, step, base, encoding)
+        if self.graph.frozen:
+            bound[(caller, callee, label)] = record
+        return record
 
     def call(self, callee: str, fn: Callable[..., Any], *args: Any,
              site: str = "", **kwargs: Any) -> Any:
@@ -208,24 +285,42 @@ class Process:
         ``site=`` disambiguates multiple sites to the same callee.  This is
         where instrumented code would execute the encoding update.
         """
-        call_site = self._site(self.current_function, callee, site)
-        self._charge("base", self._call_cost)
-        if self._null_context:
-            # Null-source fast path: the three context hooks below are
-            # no-ops; skip the calls, keep the frame discipline.
-            self._stack.append(Frame(callee, call_site))
+        stack = self._stack
+        if not stack:
+            raise ProcessError(_NO_FRAME)
+        frame = stack[-1]
+        record = self._calls.get((frame.function, callee, site))
+        if record is None:
+            record = self._bind(self._calls, frame.function, callee, site,
+                                True)
+        self._charge("base", record.base)
+        if self._hooked:
+            self._at_call_site(record.site)
+            stack.append(Frame(callee, record.site))
+            self._enter_function(callee)
             try:
                 return fn(self, *args, **kwargs)
             finally:
-                self._stack.pop()
-        self._at_call_site(call_site)
-        self._stack.append(Frame(callee, call_site))
-        self._enter_function(callee)
+                self._exit_function(callee)
+                stack.pop()
+        register = self._register
+        register.sites_crossed += 1
+        t = frame.t
+        mix = record.mix
+        if mix is None:
+            value = t
+        else:
+            value = mix(t, record.step)
+            register.updates_executed += 1
+        if record.encoding:
+            self._charge_encoding("encoding", record.encoding)
+        register.value = value
+        stack.append(Frame(callee, record.site, value))
         try:
             return fn(self, *args, **kwargs)
         finally:
-            self._exit_function(callee)
-            self._stack.pop()
+            stack.pop()
+            register.value = t
 
     # ------------------------------------------------------------------
     # Heap API (each allocation flows through its declared call site)
@@ -245,35 +340,57 @@ class Process:
             return False
         return call_site.site_id in capture
 
+    def _heap_crossing(self, fun: str, site: str,
+                       count: int) -> Tuple[CallSite, int]:
+        """Cross the heap call site ``site`` to ``fun`` from the current
+        function ``count`` times in a row; returns it and the CCID the
+        allocations read."""
+        stack = self._stack
+        if not stack:
+            raise ProcessError(_NO_FRAME)
+        frame = stack[-1]
+        record = self._heap_calls.get((frame.function, fun, site))
+        if record is None:
+            record = self._bind(self._heap_calls, frame.function, fun, site,
+                                False)
+        call_site = record.site
+        self.last_alloc_site = call_site
+        if self._hooked:
+            self._at_call_site(call_site, count)
+            return call_site, self._current_ccid()
+        register = self._register
+        register.sites_crossed += count
+        mix = record.mix
+        if mix is None:
+            ccid = frame.t
+        else:
+            ccid = mix(frame.t, record.step)
+            register.updates_executed += count
+            if record.encoding:
+                self._charge_encoding("encoding", record.encoding * count)
+        register.value = ccid
+        return call_site, ccid
+
     def _alloc(self, fun: str, site: str, *args: int) -> int:
         if self.scheduler is not None:
             self.scheduler.checkpoint(self.scheduler_thread_id)
-        call_site = self._site(self.current_function, fun, site)
-        self.last_alloc_site = call_site
-        if self._null_context:
-            ccid = 0  # a null source's at_call_site is a no-op, CCID 0
-        else:
-            self._at_call_site(call_site)
-            ccid = self._current_ccid()
+        call_site, ccid = self._heap_crossing(fun, site, 1)
         address = self.monitor.heap_alloc(fun, *args)
-        size = args[-1] if fun != "calloc" else args[0] * args[1]
         self.alloc_profile[(fun, ccid)] += 1
         serial = self._alloc_serial
         self._alloc_serial = serial + 1
-        if self.record_allocations or self.track_live:
+        if self.record_allocations:
             event = AllocationEvent(
                 serial=serial,
                 fun=fun,
                 ccid=ccid,
                 address=address,
-                size=size,
+                size=args[-1] if fun != "calloc" else args[0] * args[1],
                 context=(self.current_context() + (call_site.site_id,)
                          if self._captures(call_site) else ()),
             )
-            if self.record_allocations:
-                self.allocations.append(event)
-            if self.track_live:
-                self.live_allocations[address] = event
+            self.allocations.append(event)
+            self.live_allocations[address] = event
         return address
 
     def malloc(self, size: int, site: str = "") -> int:
@@ -301,20 +418,14 @@ class Process:
     def realloc(self, address: int, size: int, site: str = "") -> int:
         """Guest ``realloc``; retags the buffer's allocation context."""
         self._checkpoint()
-        call_site = self._site(self.current_function, "realloc", site)
-        self.last_alloc_site = call_site
-        if self._null_context:
-            ccid = 0
-        else:
-            self._at_call_site(call_site)
-            ccid = self._current_ccid()
+        call_site, ccid = self._heap_crossing("realloc", site, 1)
         new_address = self.monitor.heap_alloc("realloc", address, size)
         self.alloc_profile[("realloc", ccid)] += 1
         self.live_allocations.pop(address, None)
         if size > 0 and new_address:
             serial = self._alloc_serial
             self._alloc_serial = serial + 1
-            if self.record_allocations or self.track_live:
+            if self.record_allocations:
                 event = AllocationEvent(
                     serial=serial,
                     fun="realloc",
@@ -324,17 +435,16 @@ class Process:
                     context=(self.current_context() + (call_site.site_id,)
                              if self._captures(call_site) else ()),
                 )
-                if self.record_allocations:
-                    self.allocations.append(event)
-                if self.track_live:
-                    self.live_allocations[new_address] = event
+                self.allocations.append(event)
+                self.live_allocations[new_address] = event
         return new_address
 
     def free(self, address: int) -> None:
         """Guest ``free``."""
         self._checkpoint()
         self.monitor.heap_free(address)
-        self.live_allocations.pop(address, None)
+        if self.live_allocations:
+            self.live_allocations.pop(address, None)
 
     # ------------------------------------------------------------------
     # Batched heap API (same-call-site runs)
@@ -346,8 +456,8 @@ class Process:
         Context work (site resolution, the encoding update, the CCID
         read) happens once — valid because every allocation of the run
         flows through the same call site, so the per-call path would
-        compute the identical CCID each time.  ``at_call_site`` is told
-        the run length, so encoding cycles, update counters and coverage
+        compute the identical CCID each time.  The crossing counts the
+        run length, so encoding cycles, update counters and coverage
         still count every crossing.  Profile counts, events and live
         tracking match a per-call loop exactly.  Under a lock-step
         scheduler, or when the CCID read is impure, the run is replayed
@@ -358,18 +468,12 @@ class Process:
             return []
         if self.scheduler is not None or not self._pure_ccid:
             return [self.malloc(size, site=site) for size in sizes]
-        call_site = self._site(self.current_function, "malloc", site)
-        self.last_alloc_site = call_site
-        if self._null_context:
-            ccid = 0
-        else:
-            self._at_call_site(call_site, len(sizes))
-            ccid = self._current_ccid()
+        call_site, ccid = self._heap_crossing("malloc", site, len(sizes))
         addresses = self.monitor.heap_alloc_run("malloc", sizes)
         self.alloc_profile[("malloc", ccid)] += len(sizes)
         serial = self._alloc_serial
         self._alloc_serial = serial + len(sizes)
-        if self.record_allocations or self.track_live:
+        if self.record_allocations:
             context = (self.current_context() + (call_site.site_id,)
                        if self._captures(call_site) else ())
             for address, size in zip(addresses, sizes):
@@ -377,10 +481,8 @@ class Process:
                     serial=serial, fun="malloc", ccid=ccid,
                     address=address, size=size, context=context)
                 serial += 1
-                if self.record_allocations:
-                    self.allocations.append(event)
-                if self.track_live:
-                    self.live_allocations[address] = event
+                self.allocations.append(event)
+                self.live_allocations[address] = event
         return addresses
 
     def free_run(self, addresses: List[int]) -> None:

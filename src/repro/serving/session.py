@@ -136,7 +136,7 @@ class ServingSession:
         monitor = DirectMonitor(self.memory, heap, self.meter)
         self.process = Process(program.graph, monitor=monitor,
                                context_source=runtime, meter=self.meter,
-                               record_allocations=False, track_live=False)
+                               record_allocations=False)
         self._entry = _ServeEntry(program.serve_main)  # type: ignore[attr-defined]
 
     def serve_rounds(self, rounds: List[List[Any]]

@@ -95,6 +95,20 @@ class TestCallProtocol:
         with pytest.raises(ProcessError):
             _ = process.current_function
 
+    @pytest.mark.parametrize("operation", [
+        lambda p: p.call("left", lambda p: None),
+        lambda p: p.malloc(64),
+        lambda p: p.calloc(2, 8),
+        lambda p: p.malloc_run([16, 16]),
+        lambda p: p.realloc(0, 32),
+    ], ids=["call", "malloc", "calloc", "malloc_run", "realloc"])
+    def test_call_protocol_outside_run_is_a_process_error(self, process,
+                                                          operation):
+        # Not an IndexError from the empty frame stack.
+        with pytest.raises(ProcessError, match="no active frame"):
+            operation(process)
+        assert process.depth == 0
+
     def test_nested_run_rejected(self, program, process):
         class Nester(Program):
             name = "nester"
