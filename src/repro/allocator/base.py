@@ -92,6 +92,15 @@ class Allocator(abc.ABC):
         for address in addresses:
             free(address)
 
+    def fork(self, memory: VirtualMemory) -> "Allocator":
+        """A copy of this allocator's state serving from ``memory``, a
+        fork of :attr:`memory` (see :meth:`VirtualMemory.fork`).  The
+        copy is built by the allocator's constructor and shares no
+        mutable container with this one; an allocator that cannot be
+        copied raises ``NotImplementedError``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot be forked")
+
 
 #: Names of the allocation entry points, as they appear in patches
 #: (the FUN field of a ``{FUN, CCID, T}`` patch tuple).

@@ -393,6 +393,21 @@ class LibcAllocator(Allocator):
             return map_base + length - address
         return read_chunk(self.memory, address - HEADER_SIZE).user_size
 
+    def fork(self, memory: VirtualMemory) -> "LibcAllocator":
+        twin = LibcAllocator(memory)
+        twin.heap_start = self.heap_start
+        twin._top = self._top
+        twin._top_max = self._top_max
+        twin._top_prev_size = self._top_prev_size
+        twin._small_bins = [list(bin_) for bin_ in self._small_bins]
+        twin._small_map = self._small_map
+        twin._large_bin = list(self._large_bin)
+        twin._free_index = dict(self._free_index)
+        twin._live = dict(self._live)
+        twin._mmapped = dict(self._mmapped)
+        twin.stats.copy_from(self.stats)
+        return twin
+
     # ------------------------------------------------------------------
     # Introspection (for tests and reports; not used by the defense)
     # ------------------------------------------------------------------

@@ -368,6 +368,19 @@ class SegregatedAllocator(Allocator):
         base, length = info
         return base + length - address
 
+    def fork(self, memory: VirtualMemory) -> "SegregatedAllocator":
+        twin = SegregatedAllocator(memory, map_cache=self._map_cache_limit)
+        twin._free_slots = {cls: list(slots)
+                            for cls, slots in self._free_slots.items()}
+        twin._objects = dict(self._objects)
+        twin._retired = set(self._retired)
+        twin.stats.copy_from(self.stats)
+        twin.slabs_mapped = self.slabs_mapped
+        twin._map_cache = {length: list(bases)
+                           for length, bases in self._map_cache.items()}
+        twin._map_cached = self._map_cached
+        return twin
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ the reproduction can print the same table for the synthetic workloads.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Sequence
 
 #: ``dataclass(slots=True)`` needs Python 3.10; 3.9 gets a plain one.
@@ -130,6 +130,13 @@ class AllocationStats:
         self.free_calls += len(sizes)
         self.bytes_live -= sum(sizes)
         self.live_buffers -= len(sizes)
+
+    def copy_from(self, other: "AllocationStats") -> None:
+        """Overwrite every counter with ``other``'s (a fork's stats stay
+        the object its owner's prebound recorders are bound to)."""
+        for counter in fields(self):
+            setattr(self, counter.name, getattr(other, counter.name))
+        self.size_histogram = dict(other.size_histogram)
 
     @property
     def total_allocations(self) -> int:

@@ -49,6 +49,16 @@ class EncodingRuntime(RegisterContextSource):
     def seed(self) -> int:
         return self.codec.seed()
 
+    def fork(self, meter: Optional[CycleMeter] = None) -> "EncodingRuntime":
+        """A runtime over the same codec holding a copy of this one's
+        ``V``, counters and hook stack, charging ``meter``."""
+        twin = EncodingRuntime(self.codec, meter)
+        twin.value = self.value
+        twin.updates_executed = self.updates_executed
+        twin.sites_crossed = self.sites_crossed
+        twin._t_stack = list(self._t_stack)
+        return twin
+
     def bind_site(self, site: CallSite) -> SiteBinding:
         if site.site_id not in self.plan.sites:
             return None, None, 0

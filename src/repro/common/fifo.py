@@ -68,6 +68,17 @@ class FreedBlockQueue:
             evictions.append(old)
         return evictions
 
+    def fork(self) -> "FreedBlockQueue":
+        """A queue holding the same blocks and counters (the blocks are
+        immutable and shared; the containers are copied)."""
+        twin = FreedBlockQueue(self.quota_bytes)
+        twin._queue.extend(self._queue)
+        twin._held_bytes = self._held_bytes
+        twin._addresses.update(self._addresses)
+        twin.pushed = self.pushed
+        twin.evicted = self.evicted
+        return twin
+
     def drain(self) -> List[FreedBlock]:
         """Remove and return everything (process teardown)."""
         drained = list(self._queue)

@@ -38,7 +38,7 @@ from ..allocator.stats import AllocationStats
 from ..common.fifo import FreedBlock, FreedBlockQueue
 from ..machine.errors import InvalidFree, MachineError, OutOfMemoryError
 from ..machine.layout import PAGE_SHIFT, PAGE_SIZE, SIZE_MAX, is_power_of_two
-from ..machine.memory import PROT_NONE, PROT_RW
+from ..machine.memory import PROT_NONE, PROT_RW, VirtualMemory
 from ..patch.model import HeapPatch
 from ..program.context import ContextSource, NullContextSource
 from ..program.cost import CycleMeter
@@ -542,6 +542,21 @@ class DefendedAllocator(Allocator):
         self._fun_patches = {}
         self._fused_malloc = (not self._patches_for("malloc")
                               and self._pure_ccid)
+
+    def fork(self, memory: VirtualMemory,
+             context_source: Optional[ContextSource] = None,
+             meter: Optional[CycleMeter] = None) -> "DefendedAllocator":
+        """A copy of this interposer over a fork of its underlying
+        allocator on ``memory``, reading CCIDs from ``context_source``
+        and charging ``meter``: same table and quota, a copy of the
+        quarantine, stats and enhancement counts."""
+        twin = DefendedAllocator(self.underlying.fork(memory), self.table,
+                                 context_source=context_source, meter=meter,
+                                 quarantine_quota=self.quarantine.quota_bytes)
+        twin.quarantine = self.quarantine.fork()
+        twin.stats.copy_from(self.stats)
+        twin.enhanced_counts.update(self.enhanced_counts)
+        return twin
 
     # ------------------------------------------------------------------
     # Realloc & queries

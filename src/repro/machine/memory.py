@@ -829,6 +829,58 @@ class VirtualMemory:
             remaining -= chunk
 
     # ------------------------------------------------------------------
+    # Images and forks
+    # ------------------------------------------------------------------
+
+    def freeze(self) -> None:
+        """Turn this address space into an image for :meth:`fork`.
+
+        Every resident page moves out of the page store into immutable
+        bytes, and its frame goes back to the store, so an image holds
+        no store frame however long it is kept.  Mappings, counters and
+        contents read as before; a write to a resident page raises
+        ``TypeError``.  An image is meant to be read by :meth:`fork`
+        only.
+        """
+        frames = self._frames
+        words = self._frame_words
+        for pno, frame in frames.items():
+            image = memoryview(bytes(frame))
+            frames[pno] = image
+            words[pno] = image.cast("Q")
+        free = self._store.free
+        for slot in self._frame_slots.values():
+            free(slot)
+        self._frame_slots.clear()
+        self._tlb_page = -1
+        self._tlb_frame = None
+        self._tlb_words = None
+
+    def fork(self, page_store: Optional[PageStore] = None
+             ) -> "VirtualMemory":
+        """A copy of this address space over ``page_store`` (a private
+        store when omitted): the same mappings, break, mmap cursor,
+        counters and page contents.  The copy's resident pages come
+        from one :meth:`PageStore.alloc_copies` call; it shares no
+        frame with this memory."""
+        twin = VirtualMemory(self.fault_injector, page_store)
+        twin._protections.update(self._protections)
+        twin._brk = self._brk
+        twin._mmap_cursor = self._mmap_cursor
+        twin.fault_count = self.fault_count
+        twin.mprotect_count = self.mprotect_count
+        twin.peak_resident_pages = self.peak_resident_pages
+        frames = twin._frames
+        words = twin._frame_words
+        slots = twin._frame_slots
+        copies = twin._store.alloc_copies(list(self._frames.values()))
+        for pno, (slot, frame, word) in zip(self._frames, copies):
+            frames[pno] = frame
+            words[pno] = word
+            slots[pno] = slot
+        return twin
+
+    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 

@@ -29,7 +29,7 @@ handing one frame to two owners would alias their pages.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .layout import PAGE_SIZE
 
@@ -136,6 +136,32 @@ class PageStore:
             window[:] = _ZERO_PAGE
         self._allocated += 1
         return slot, window, words
+
+    def alloc_copies(self, pages: Sequence[Any]
+                     ) -> List[Tuple[int, memoryview, memoryview]]:
+        """Allocate one frame per entry of ``pages`` (each ``PAGE_SIZE``
+        bytes) holding a copy of it.
+
+        Returns ``(slot, byte view, word view)`` per page, in order.  A
+        reused slot is overwritten directly: the zero-fill :meth:`alloc`
+        gives it would be overwritten anyway.
+        """
+        if self._closed:
+            raise PageStoreClosed("page store has been closed")
+        free_slots = self._free_slots
+        while len(free_slots) < len(pages):
+            self._add_segment()
+        dirty = self._dirty_slots
+        slot_views = self._slot_views
+        out = []
+        for contents in pages:
+            slot = free_slots.pop()
+            window, words = slot_views[slot] or self._views_for(slot)
+            dirty.discard(slot)
+            window[:] = contents
+            out.append((slot, window, words))
+        self._allocated += len(pages)
+        return out
 
     def free(self, slot: int) -> None:
         """Return a slot to the free list (contents re-zeroed on reuse).

@@ -107,3 +107,8 @@ class CycleMeter:
     def reset(self) -> None:
         """Zero every category."""
         self.by_category.clear()
+
+    def fork(self) -> "CycleMeter":
+        """A meter holding a copy of these totals (same model); charges
+        to either no longer reach the other."""
+        return CycleMeter(self.model, dict(self.by_category))

@@ -237,6 +237,16 @@ class Process:
 
     def run(self, program: "ProgramLike", *args: Any, **kwargs: Any) -> Any:
         """Execute ``program.main`` as the entry function."""
+        self.enter()
+        try:
+            return program.main(self, *args, **kwargs)
+        finally:
+            self.leave()
+
+    def enter(self) -> None:
+        """Enter the graph's entry function: :meth:`run`'s prologue,
+        which :meth:`leave` undoes.  Between the two the process runs
+        guest code as :meth:`run` would."""
         if self._stack:
             raise ProcessError("process is already running")
         entry = self.graph.entry
@@ -244,21 +254,45 @@ class Process:
         if self._hooked:
             self._stack.append(Frame(entry, None))
             self._enter_function(entry)
-            try:
-                return program.main(self, *args, **kwargs)
-            finally:
-                self._exit_function(entry)
-                self._stack.pop()
+            return
         register = self._register
         cycles = register.prologue_cycles(entry)
         if cycles:
             self._charge_encoding("encoding", cycles)
         self._stack.append(Frame(entry, None, register.value))
-        try:
-            return program.main(self, *args, **kwargs)
-        finally:
+
+    def leave(self) -> None:
+        """Leave the entry function entered by :meth:`enter`."""
+        if self._hooked:
+            self._exit_function(self.graph.entry)
             self._stack.pop()
-            register.value = register.seed()
+            return
+        self._stack.pop()
+        register = self._register
+        register.value = register.seed()
+
+    def fork(self, monitor: ExecutionMonitor, context_source: ContextSource,
+             meter: CycleMeter) -> "Process":
+        """A copy of this process over forked layers: ``monitor`` over
+        forks of its memory and heap, ``context_source`` and ``meter``
+        forks of its own.  The copy holds a copy of the stack, the
+        allocation profile, log and serial, and the last allocation
+        site; it shares the bound call sites, which forked layers bind
+        identically."""
+        twin = Process(self.graph, monitor=monitor,
+                       context_source=context_source, meter=meter,
+                       record_allocations=self.record_allocations,
+                       capture_context=self.capture_context)
+        twin._calls = self._calls
+        twin._heap_calls = self._heap_calls
+        twin._stack = list(self._stack)
+        twin._hooked = self._hooked
+        twin.last_alloc_site = self.last_alloc_site
+        twin._alloc_serial = self._alloc_serial
+        twin.allocations = list(self.allocations)
+        twin.alloc_profile = self.alloc_profile.copy()
+        twin.live_allocations = dict(self.live_allocations)
+        return twin
 
     def _bind(self, bound: Dict[Tuple[str, str, str], BoundSite],
               caller: str, callee: str, label: str,

@@ -11,12 +11,18 @@ in ``main`` goes through ``process.call`` naming a declared call site, and
 every allocation goes through the process heap API naming its declared
 allocation site.  The test suite checks graph/behaviour agreement for all
 bundled workloads.
+
+A program the serving engine can drive (a *service*) also defines
+:meth:`Program.serve_round`, and may give its serving runs a startup
+phase, :meth:`Program.serve_startup`, whose started state every round
+runs against.  The engine runs the startup once per worker and patch
+table and starts each batch from a copy of the result.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional
 
 from .callgraph import CallGraph
 from .process import Process
@@ -54,3 +60,34 @@ class Program(abc.ABC):
     @abc.abstractmethod
     def main(self, p: Process, *args: Any, **kwargs: Any) -> Any:
         """The program body, executed as the graph's entry function."""
+
+    # -- serving entry (repro.serving) ---------------------------------
+
+    @property
+    def serves(self) -> bool:
+        """Whether the program defines a serving round."""
+        return type(self).serve_round is not Program.serve_round
+
+    def serve_startup(self, p: Process) -> Any:
+        """The serving startup phase, run inside the entry function
+        before a round; returns the started state :meth:`serve_round`
+        gets.  The default starts nothing and makes no guest call.
+
+        The serving engine runs it once per image and hands the same
+        state object to every round started from a copy of that image,
+        so a round must not change the state object itself (the guest
+        memory it names is the round's own)."""
+        return None
+
+    def serve_round(self, p: Process, started: Any,
+                    requests: List[Any]) -> Dict[str, Any]:
+        """Serve one round of requests against the ``started`` state,
+        then tear that state down.  Returns the round's ``outcomes``
+        (one ``(status, bytes)`` per request), ``served`` and
+        ``bytes_sent``."""
+        raise NotImplementedError(f"{self.name} has no serving round")
+
+    def serve_main(self, p: Process, requests: List[Any]) -> Dict[str, Any]:
+        """One serving round with its own startup: the entry function's
+        body for a round run by :meth:`Process.run`."""
+        return self.serve_round(p, self.serve_startup(p), requests)

@@ -20,12 +20,19 @@ defended allocator:
   Each worker keeps one private page arena
   (:class:`~repro.machine.pagestore.PageStore`) that every batch it
   serves borrows frames from.
-* **Per-worker CCE state** — each batch is served by a fresh
+* **Per-worker CCE state** — each batch is served by its own
   :class:`~repro.serving.session.ServingSession` owning its own encoding
   runtime (the paper's thread-local V register), allocator and process.
+* **Startup images** — a worker runs the service's serving startup once
+  per table version (mysql builds its buffer pool; nginx starts
+  nothing) and keeps the started session as that version's image; each
+  batch's session is a fork of it.  A new table version captures a new
+  image, because startup allocations are defended under the batch's
+  table.
 * **Determinism** — a batch's outcome is a pure function of (batch
-  contents, table version): sessions are fresh per batch, the report
-  excludes wall-clock time, and results merge in batch order.  Hence a
+  contents, table version): every batch starts from the same started
+  state for its version, the report excludes wall-clock time, and
+  results merge in batch order.  Hence a
   ``workers=N`` report is byte-identical to ``workers=1`` modulo the
   ``workers`` field itself — the engine's distribution of work is
   unobservable in its output, which is what makes the scaling curve an
@@ -54,12 +61,7 @@ from ..machine.pagestore import PageStore
 from ..patch import config as patch_config
 from ..program.program import Program
 from .handle import PatchTableHandle
-from .services import (
-    ServedService,
-    inject_attacks,
-    serving_registry,
-    split_rounds,
-)
+from .services import ServedService, inject_attacks, serving_registry
 from .session import BatchResult, ServingSession
 
 #: Report schema identifier (bump on layout changes).
@@ -157,6 +159,9 @@ class _WorkerServeState:
         #: returns them, so frames and their views are built once per
         #: worker, not once per batch.
         self.arena = PageStore()
+        #: version -> the started, frozen session every batch of that
+        #: version forks.
+        self._images: Dict[int, ServingSession] = {}
 
     def _table(self, version: int) -> PatchTable:
         table = self._tables.get(version)
@@ -169,36 +174,44 @@ class _WorkerServeState:
             self._tables[version] = table
         return table
 
-    def serve_batch(self, index: int) -> BatchResult:
-        plan = self.plan
+    def session(self, version: int,
+                image: Optional[ServingSession] = None) -> ServingSession:
+        """A session for a batch of table ``version`` over the arena:
+        fresh, or a fork of ``image``."""
         options = self.options
-        version = plan.batch_versions[index]
-        session = ServingSession(
-            plan.program, plan.codec,
+        return ServingSession(
+            self.plan.program, self.plan.codec,
             defended=options.defended,
             table=self._table(version),
             allocator=options.allocator,
             quarantine_quota=options.quarantine_quota,
-            page_store=self.arena)
-        rounds = split_rounds(list(plan.batch(index)), plan.attack_token)
+            page_store=self.arena,
+            image=image)
+
+    def image(self, version: int) -> ServingSession:
+        """The started session of table ``version``, captured by its
+        first use."""
+        image = self._images.get(version)
+        if image is None:
+            image = self.session(version)
+            image.start()
+            image.memory.freeze()
+            self._images[version] = image
+        return image
+
+    def serve_batch(self, index: int) -> BatchResult:
+        plan = self.plan
+        version = plan.batch_versions[index]
+        session = self.session(version, self.image(version))
         try:
-            outcomes, served, bytes_sent = session.serve_rounds(rounds)
+            return session.serve_batch(index, plan.batch(index),
+                                       plan.attack_token, version)
         finally:
             session.memory.close()
-        process = session.process
-        return BatchResult(
-            index=index,
-            outcomes=tuple(outcomes),
-            served=served,
-            bytes_sent=bytes_sent,
-            cycles=tuple(sorted(session.meter.snapshot().items())),
-            profile=tuple(sorted(process.alloc_profile.items())),
-            table_version=version,
-            wall=time.monotonic(),
-        )
 
     def close(self) -> None:
-        """Release the worker's arena."""
+        """Release the worker's images and arena."""
+        self._images.clear()
         self.arena.close()
 
 
@@ -272,6 +285,10 @@ class ServingEngine:
         self.service = service
         if program is None:
             program = service.program_factory()
+        if not program.serves:
+            raise ServingError(
+                f"program {program.name!r} has no serving entry "
+                f"(Program.serve_round)")
         self.program = program
         if codec is None:
             codec = instrument(

@@ -14,6 +14,11 @@ The pool is one batched run: one ``malloc_run`` of its pages, one
 at teardown, observationally identical to the per-page loop of
 ``malloc``, ``fill`` and ``free`` (``tests/workloads/test_mysql_startup.py``
 keeps that loop as the oracle).
+
+The startup is also the service's serving startup phase
+(:meth:`MySqlServer.serve_startup`): the serving engine runs it once
+per worker and patch table and starts every batch from a copy of the
+started pool, as a real server starts once and then serves.
 """
 
 from __future__ import annotations
@@ -99,10 +104,21 @@ class MySqlServer(Program):
     def _with_pool(self, p: Process, loop: Callable[..., Any],
                    arg: Any) -> Any:
         """Start up, run ``loop(pool, arg)`` as the query loop, tear
-        down: the startup and teardown both entry points share.  The
-        pool is released as one run, then the key cache, in the order a
-        per-page loop of frees would release them."""
-        pool, key_cache = p.call("startup", self._startup)
+        down: ``main``'s body."""
+        return self._run_pool(p, self.serve_startup(p), loop, arg)
+
+    def serve_startup(self, p: Process) -> Tuple[List[int], int]:
+        """``main → startup``: the pool and key cache every entry point
+        runs against."""
+        return p.call("startup", self._startup)
+
+    def _run_pool(self, p: Process, started: Tuple[List[int], int],
+                  loop: Callable[..., Any], arg: Any) -> Any:
+        """Run ``loop(pool, arg)`` as the query loop over the started
+        pool, then tear down: the teardown both entry points share.
+        The pool is released as one run, then the key cache, in the
+        order a per-page loop of frees would release them."""
+        pool, key_cache = started
         stats = p.call("query_loop", loop, pool, arg)
         p.free_run(pool)
         p.free(key_cache)
@@ -151,16 +167,17 @@ class MySqlServer(Program):
     # Serving mode (repro.serving): fused point-query blocks
     # ------------------------------------------------------------------
 
-    def serve_main(self, p: Process,
-                   queries: List[Tuple[int, bool]]) -> Dict[str, Any]:
-        """Execute one query round in batched mode.
+    def serve_round(self, p: Process, started: Tuple[List[int], int],
+                    queries: List[Tuple[int, bool]]) -> Dict[str, Any]:
+        """Execute one query round in batched mode over the started
+        pool, then tear it down.
 
         Point queries replay as one fused basic block each (row read,
         dirty-flag write, compute); the rare sort queries keep the per-op
         ``execute_query`` frame chain so ``sort_buf`` allocations carry
         the exact sequential CCID.
         """
-        return self._with_pool(p, self._serve_query_loop, queries)
+        return self._run_pool(p, started, self._serve_query_loop, queries)
 
     def _serve_query_loop(self, p: Process, pool: List[int],
                           queries: List[Tuple[int, bool]]) -> Dict[str, Any]:

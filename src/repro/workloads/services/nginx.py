@@ -156,7 +156,7 @@ class NginxServer(Program):
     Both entry points run the stages of :meth:`_stages` through
     :meth:`_serve_chunk`: ``main`` serves each request as a chunk of one
     on its own connection, in stream order (``ab`` without ``-k``);
-    ``serve_main`` serves keep-alive chunks of up to :data:`SERVE_CHUNK`
+    ``serve_round`` serves keep-alive chunks of up to :data:`SERVE_CHUNK`
     same-path requests over up to :data:`SERVE_CONCURRENCY` connections.
     """
 
@@ -328,7 +328,7 @@ class NginxServer(Program):
     # Serving mode (repro.serving): keep-alive same-path chunks
     # ------------------------------------------------------------------
     #
-    # The serving engine drives request *rounds* through ``serve_main``.
+    # The serving engine drives request *rounds* through ``serve_round``.
     # Requests are grouped by path and each group is served in chunks of
     # :data:`SERVE_CHUNK` (bounding peak live buffers, and letting the
     # allocator's large-mapping cache recycle one chunk's bodies into
@@ -336,8 +336,10 @@ class NginxServer(Program):
     # (the engine splits rounds at attacks), because its overread may
     # fault mid-request.
 
-    def serve_main(self, p: Process, requests: List[str]) -> Dict[str, Any]:
-        """Serve one request round in batched mode."""
+    def serve_round(self, p: Process, started: None,
+                    requests: List[str]) -> Dict[str, Any]:
+        """Serve one request round in batched mode (nginx has no
+        serving startup: ``started`` is None)."""
         return p.call("worker_loop", self._serve_worker_loop, requests)
 
     def _serve_worker_loop(self, p: Process,

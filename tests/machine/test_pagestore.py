@@ -128,3 +128,62 @@ class TestSharedArenaAcrossMemories:
         assert memory.read(again, 2) == b"x\x00"
         memory.close()
         store.close()
+
+
+class TestCopies:
+    def test_copies_overwrite_recycled_slots(self):
+        store = PageStore()
+        slots = [store.alloc()[0] for _ in range(3)]
+        for slot in slots:
+            store._slot_views[slot][0][:] = b"\xee" * PAGE_SIZE
+            store.free(slot)
+        pages = [bytes([n]) * PAGE_SIZE for n in (1, 2, 3, 4)]
+        copies = store.alloc_copies(pages)
+        assert store.allocated_pages == 4
+        assert len({slot for slot, _, _ in copies}) == 4
+        for (slot, window, words), page in zip(copies, pages):
+            assert bytes(window) == page
+            assert words[0] == int.from_bytes(page[:8], "little")
+            store.free(slot)
+        # A recycled copy slot is re-zeroed by a plain alloc.
+        assert all(bytes(store.alloc()[1]) == bytes(PAGE_SIZE)
+                   for _ in range(4))
+        store.close()
+
+    def test_copies_grow_the_store(self):
+        store = PageStore()
+        count = PRIVATE_SEGMENT_PAGES + 1
+        store.alloc_copies([bytes(PAGE_SIZE)] * count)
+        assert store.segment_count == 2
+        assert store.allocated_pages == count
+        store.close()
+
+
+class TestFrozenImage:
+    def test_fork_copies_an_image_that_holds_no_frame(self):
+        store = PageStore()
+        image = VirtualMemory(page_store=store)
+        base = image.mmap(3 * PAGE_SIZE)
+        image.write(base + 8, b"image")
+        image.write_word(base + 2 * PAGE_SIZE, 42)
+        image.mprotect(base + PAGE_SIZE, PAGE_SIZE, 0)
+        image.freeze()
+        assert store.allocated_pages == 0
+        assert image.resident_pages == 2
+        assert image.read(base + 8, 5) == b"image"
+        with pytest.raises(TypeError):
+            image.write(base + 8, b"x")
+        forks = [image.fork(store) for _ in range(2)]
+        assert store.allocated_pages == 4
+        forks[0].write(base + 8, b"FORK!")
+        for memory in forks:
+            assert list(memory.iter_mappings()) == list(
+                image.iter_mappings())
+            assert memory.read_word(base + 2 * PAGE_SIZE) == 42
+            assert memory.peak_resident_pages == 2
+        assert forks[1].read(base + 8, 5) == b"image"
+        assert image.read(base + 8, 5) == b"image"
+        for memory in forks:
+            memory.close()
+        assert store.allocated_pages == 0
+        store.close()

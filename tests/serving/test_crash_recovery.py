@@ -13,11 +13,15 @@ exact.
 
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import replace
 
 import pytest
 
+from repro.patch import config as patch_config
+from repro.patch.model import HeapPatch
+from repro.serving import engine as engine_module
 from repro.serving.engine import (
     MAX_POOL_REBUILDS,
     ServingEngine,
@@ -26,6 +30,7 @@ from repro.serving.engine import (
     _WorkerServeState,
     serve,
 )
+from repro.vulntypes import VulnType
 
 #: Multi-batch shape with attacks on both sides of the crashed batch.
 OPTIONS = ServingOptions(service="nginx", requests=80, batch_size=10,
@@ -129,3 +134,71 @@ class TestWorkerException:
         ran = served.read_text().split() if served.exists() else []
         assert len(ran) < n_batches // 2
         assert elapsed < 2.0
+
+
+def mysql_pool_patch_text():
+    """mysql's ``pool_page`` patch (guard pages and zero-fill on every
+    pool page) under the engine's deployed codec."""
+    with ServingEngine(ServingOptions(service="mysql")) as engine:
+        graph = engine.program.graph
+        ccid = engine.codec.encode_path((
+            graph.site("main", "startup", ""),
+            graph.site("startup", "malloc", "pool_page")))
+    return patch_config.dumps([HeapPatch(
+        "malloc", ccid, VulnType.OVERFLOW | VulnType.UNINIT_READ)])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers inherit the patched methods by fork")
+class TestCrashAcrossSwap:
+    def test_rebuilt_pool_recaptures_the_new_version(self, monkeypatch,
+                                                     tmp_path):
+        """A worker dies on the first batch of a swapped-in table
+        version, before any image of it exists in the rebuilt pool: the
+        new workers capture that version's image themselves, and the
+        report equals the ``workers=1`` oracle's byte for byte."""
+        swap_batch = 3
+        options = ServingOptions(
+            service="mysql", requests=240, batch_size=30, workers=2,
+            swap_schedule=((swap_batch, mysql_pool_patch_text()),))
+        oracle = serve(replace(options, workers=1))
+        assert oracle.report["table_versions"][swap_batch - 1:] == [0] + [
+            1] * (oracle.report["batches"] - swap_batch)
+
+        log = tmp_path / "log"
+        flag = tmp_path / "crash-once"
+
+        def note(line):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {line}\n")
+
+        image = _WorkerServeState.image
+        crash = engine_module._maybe_inject_crash
+
+        def logged_image(self, version):
+            if version not in self._images:
+                note(f"capture {version}")
+            return image(self, version)
+
+        def logged_crash(index):
+            if index == swap_batch and not flag.exists():
+                note(f"crash {index}")
+            crash(index)
+
+        monkeypatch.setattr(_WorkerServeState, "image", logged_image)
+        monkeypatch.setattr(engine_module, "_maybe_inject_crash",
+                            logged_crash)
+        monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", str(swap_batch))
+        monkeypatch.setenv("REPRO_SERVE_CRASH_FLAG", str(flag))
+        crashed = serve(options)
+        assert flag.exists(), "fault injection never fired"
+        assert canonical(crashed) == canonical(oracle)
+
+        lines = [line.split() for line in log.read_text().splitlines()]
+        crash_at = lines.index(next(line for line in lines
+                                    if line[1] == "crash"))
+        before = {line[0] for line in lines[:crash_at + 1]}
+        rebuilt_captures = {(pid, int(version))
+                            for pid, event, version in lines[crash_at + 1:]
+                            if event == "capture" and pid not in before}
+        assert any(version == 1 for _, version in rebuilt_captures)

@@ -25,6 +25,7 @@ from repro.serving.engine import (
     serve,
 )
 from repro.serving.services import nginx_body_patch, serving_registry
+from repro.workloads.vulnerable.heartbleed import HeartbleedService
 from repro.workloads.services.nginx import (DOCUMENT_TREE, LEAK_BODY_SIZE,
                                             LEAK_EXTRA, NginxServer)
 
@@ -209,6 +210,18 @@ class TestValidation:
 
     def test_registry_lists_both_services(self):
         assert set(serving_registry()) == {"nginx", "mysql"}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_program_without_serving_entry_rejected(self, workers):
+        """A program with no serving round is a usage error raised when
+        the engine is built, not an ``AttributeError`` from a worker."""
+        service = replace(serving_registry()["nginx"],
+                          program_factory=HeartbleedService)
+        with pytest.raises(ServingError, match="no serving entry"):
+            with ServingEngine(ServingOptions(workers=workers, requests=8,
+                                              batch_size=4),
+                               service=service) as engine:
+                engine.serve()
 
 
 class TestAdmission:

@@ -2,9 +2,11 @@
 
 Each serving worker keeps one :class:`~repro.machine.pagestore.PageStore`
 for its whole life and every batch borrows frames from it.  Only host
-frame storage is recycled: every batch still starts from a fresh
-``VirtualMemory``, allocator and process, and a recycled frame reads as
-zero.  So a batch's result must not depend on which batches the arena
+frame storage is recycled: every batch starts from its own copy of the
+worker's startup image for its table version (its own ``VirtualMemory``,
+allocator and process), a recycled frame holds exactly the image's
+contents or reads as zero, and the images keep their pages outside the
+arena.  So a batch's result must not depend on which batches the arena
 served before it, and every batch must hand all its frames back.
 """
 
@@ -21,12 +23,14 @@ import repro
 from repro.ccencoding import Strategy
 from repro.core.instrument import instrument
 from repro.patch import config as patch_config
+from repro.patch.model import HeapPatch
 from repro.serving.engine import (
     ServingEngine,
     ServingOptions,
     _WorkerServeState,
 )
 from repro.serving.services import nginx_body_patch
+from repro.vulntypes import VulnType
 from repro.workloads.services.nginx import NginxServer
 
 
@@ -88,6 +92,31 @@ class TestRecycledArena:
         results = assert_batches_isolated(engine)
         assert all(status == "ok" for result in results
                    for status, _ in result.outcomes)
+
+    @pytest.mark.parametrize("case", ["pool-patch", "swap", "libc"])
+    def test_mysql_images(self, case):
+        """The image variants: a ``pool_page`` patch gives the image
+        guard pages, protections and zero-filled buffers, a swap gives
+        the worker two images, and libc builds the pool from its heap."""
+        engine = ServingEngine(ServingOptions(service="mysql"))
+        graph = engine.program.graph
+        ccid = engine.codec.encode_path((
+            graph.site("main", "startup", ""),
+            graph.site("startup", "malloc", "pool_page")))
+        text = patch_config.dumps([HeapPatch(
+            "malloc", ccid, VulnType.OVERFLOW | VulnType.UNINIT_READ)])
+        options = {"pool-patch": {"patches_text": text},
+                   "swap": {"swap_schedule": ((1, text),)},
+                   "libc": {"allocator": "libc"}}[case]
+        engine = ServingEngine(
+            ServingOptions(service="mysql", requests=90, batch_size=30,
+                           **options),
+            program=engine.program, codec=engine.codec)
+        results = assert_batches_isolated(engine)
+        assert all(status == "ok" for result in results
+                   for status, _ in result.outcomes)
+        cycles = dict(results[-1].cycles)
+        assert ("defense" in cycles) == (case != "libc")
 
     def test_libc_allocator(self, nginx, patch_text):
         program, codec = nginx
