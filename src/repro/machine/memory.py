@@ -848,9 +848,7 @@ class VirtualMemory:
             image = memoryview(bytes(frame))
             frames[pno] = image
             words[pno] = image.cast("Q")
-        free = self._store.free
-        for slot in self._frame_slots.values():
-            free(slot)
+        self._store.free_many(self._frame_slots.values())
         self._frame_slots.clear()
         self._tlb_page = -1
         self._tlb_frame = None
@@ -891,9 +889,7 @@ class VirtualMemory:
         when many ``VirtualMemory`` instances share a long-lived store
         and slots should be returned promptly.
         """
-        free = self._store.free
-        for slot in self._frame_slots.values():
-            free(slot)
+        self._store.free_many(self._frame_slots.values())
         self._frames.clear()
         self._frame_words.clear()
         self._frame_slots.clear()
@@ -909,9 +905,7 @@ class VirtualMemory:
         # arenas do not leak pages as VirtualMemory instances come and go.
         try:
             if not self._owns_store:
-                store = self._store
-                for slot in self._frame_slots.values():
-                    store.free(slot)
+                self._store.free_many(self._frame_slots.values())
         except Exception:
             pass
 

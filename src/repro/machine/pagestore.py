@@ -29,7 +29,7 @@ handing one frame to two owners would alias their pages.
 """
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Collection, List, Optional, Sequence, Tuple
 
 from .layout import PAGE_SIZE
 
@@ -175,6 +175,26 @@ class PageStore:
         self._free_slots.append(slot)
         self._dirty_slots.add(slot)
         self._allocated -= 1
+
+    def free_many(self, slots: Collection[int]) -> None:
+        """:meth:`free` every slot of ``slots``, in order, in one call.
+
+        The slots join the free list in the order sequential ``free``
+        calls would leave them, so later allocations hand out the same
+        frames.  A slot that is already free, or named twice, raises
+        :class:`SlotAlreadyFree` after the slots before it were freed,
+        as sequential calls would.
+        """
+        if self._closed:
+            return
+        dirty = self._dirty_slots
+        fresh = set(slots)
+        if len(fresh) != len(slots) or not dirty.isdisjoint(fresh):
+            for slot in slots:  # raises at the first double free
+                self.free(slot)
+        dirty |= fresh
+        self._free_slots.extend(slots)
+        self._allocated -= len(slots)
 
     # ------------------------------------------------------------------
     # Introspection

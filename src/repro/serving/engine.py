@@ -37,6 +37,16 @@ defended allocator:
   ``workers`` field itself — the engine's distribution of work is
   unobservable in its output, which is what makes the scaling curve an
   apples-to-apples measurement.
+* **Outcome digest** — the report pins every request's
+  ``(status, bytes)`` outcome, in request order, as
+  ``sha256(json.dumps(outcomes, sort_keys=True,
+  separators=(",", ":")))``.  :func:`tally_outcomes` builds that text
+  without encoding each outcome: a round has a handful of distinct
+  outcomes, so each is encoded once and the memoized texts are joined.
+  The memo is keyed on equality, and ``("ok", 1)``, ``("ok", True)``
+  and ``("ok", 1.0)`` are equal but encode differently, so it serves
+  only outcomes that are exactly ``(str, int)`` pairs; any other input
+  is hashed by the formula itself.
 """
 
 from __future__ import annotations
@@ -47,10 +57,13 @@ import os
 import pickle
 import signal
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..ccencoding import Strategy
 from ..ccencoding.base import Codec
@@ -76,6 +89,59 @@ MAX_POOL_REBUILDS = 3
 
 class ServingError(RuntimeError):
     """Engine misconfiguration or worker failure (picklable message)."""
+
+
+def _canonical_json(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class _OutcomeTexts(dict):
+    """Distinct ``(str, int)`` outcome -> its canonical JSON text,
+    encoded on first use."""
+
+    def __missing__(self, outcome: Any) -> str:
+        if (type(outcome) is not tuple or len(outcome) != 2
+                or type(outcome[0]) is not str
+                or type(outcome[1]) is not int):
+            raise TypeError("not an exact (str, int) outcome")
+        text = self[outcome] = _canonical_json(outcome)
+        return text
+
+
+def tally_outcomes(outcomes: Sequence[Tuple[str, int]]
+                   ) -> Tuple[Dict[str, int], str]:
+    """Per-status counts of ``outcomes`` and their digest,
+    ``sha256(json.dumps(outcomes, sort_keys=True,
+    separators=(",", ":")).encode()).hexdigest()``.
+
+    The per-outcome work is C-level: each distinct outcome is encoded
+    once, and the memoized texts are counted and joined in request
+    order, which is the text ``json.dumps`` builds.  The memo is keyed
+    on equality, which merges ``("ok", 1)``, ``("ok", True)`` and
+    ``("ok", 1.0)`` although they encode differently.  It is therefore
+    used only when every distinct outcome is exactly a ``(str, int)``
+    tuple and every outcome's byte count is exactly an ``int``; a
+    status equal to a ``str`` is one, and encodes as its equal does.
+    Any other input takes the reference formula.
+    """
+    texts = _OutcomeTexts()
+    try:
+        encoded = list(map(texts.__getitem__, outcomes))
+        exact = set(map(type, map(itemgetter(1), outcomes))) <= {int}
+    except (LookupError, TypeError):  # not an exact, hashable pair
+        exact = False
+    counts: Dict[str, int] = {}
+    if not exact:
+        for status, _ in outcomes:
+            counts[status] = counts.get(status, 0) + 1
+        canonical = _canonical_json(outcomes)
+    else:
+        status_of = {text: outcome[0] for outcome, text in texts.items()}
+        for text, count in Counter(encoded).items():
+            status = status_of[text]
+            counts[status] = counts.get(status, 0) + count
+        canonical = "[" + ",".join(encoded) + "]"
+    return counts, hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -320,7 +386,15 @@ class ServingEngine:
         requests = tuple(stream)
         size = options.batch_size
         n_batches = (len(requests) + size - 1) // size
-        schedule = dict(options.swap_schedule)
+        schedule: Dict[int, str] = {}
+        for index, text in options.swap_schedule:
+            if index < 0:
+                raise ServingError(
+                    f"swap schedule has a negative batch index: {index}")
+            if index in schedule:
+                raise ServingError(
+                    f"swap schedule has two swaps at batch index {index}")
+            schedule[index] = text
         versions: List[int] = []
         for index in range(n_batches):
             text = schedule.pop(index, None)
@@ -473,25 +547,19 @@ class ServingEngine:
         ``workers`` field.
         """
         options = self.options
-        outcome_counts: Dict[str, int] = {}
-        all_outcomes: List[Tuple[str, int]] = []
+        outcome_counts, digest = tally_outcomes(list(chain.from_iterable(
+            batch.outcomes for batch in batches)))
         cycles: Dict[str, float] = {}
         profile: Dict[Tuple[str, int], int] = {}
         served = 0
         bytes_sent = 0
         for batch in batches:
-            all_outcomes.extend(batch.outcomes)
             served += batch.served
             bytes_sent += batch.bytes_sent
-            for status, _ in batch.outcomes:
-                outcome_counts[status] = outcome_counts.get(status, 0) + 1
             for category, value in batch.cycles:
                 cycles[category] = cycles.get(category, 0) + value
             for key, count in batch.profile:
                 profile[key] = profile.get(key, 0) + count
-        digest = hashlib.sha256(
-            json.dumps(all_outcomes, sort_keys=True,
-                       separators=(",", ":")).encode()).hexdigest()
         return {
             "schema": REPORT_SCHEMA,
             "service": options.service,

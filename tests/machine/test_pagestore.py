@@ -159,6 +159,99 @@ class TestCopies:
         store.close()
 
 
+
+def stores_with_slots(count):
+    """Two stores in the same state, each with ``count`` slots
+    allocated: one for sequential ``free`` calls, one for
+    ``free_many``."""
+    pair = []
+    for _ in range(2):
+        store = PageStore()
+        pair.append((store, [store.alloc()[0] for _ in range(count)]))
+    assert pair[0][1] == pair[1][1]
+    return pair
+
+
+class TestFreeMany:
+    def test_same_free_order_as_sequential_frees(self):
+        (one, slots), (many, _) = stores_with_slots(PRIVATE_SEGMENT_PAGES + 4)
+        order = slots[5:1:-1] + slots[-3:] + slots[8:12]
+        for slot in order:
+            one.free(slot)
+        many.free_many(order)
+        assert many.allocated_pages == one.allocated_pages == (
+            len(slots) - len(order))
+        # Later allocations hand out the same slots, fresh slots after.
+        again = [(one.alloc()[0], many.alloc()[0])
+                 for _ in range(len(order) + 3)]
+        assert [a for a, _ in again] == [b for _, b in again]
+        assert [a for a, _ in again][:len(order)] == order[::-1]
+        one.close()
+        many.close()
+
+    def test_freed_frames_read_zero_when_reused(self):
+        store = PageStore()
+        slots = []
+        for _ in range(3):
+            slot, window, _ = store.alloc()
+            window[:] = b"\x77" * PAGE_SIZE
+            slots.append(slot)
+        store.free_many(slots)
+        assert store.allocated_pages == 0
+        for _ in range(3):
+            assert bytes(store.alloc()[1]) == bytes(PAGE_SIZE)
+        store.close()
+
+    def test_duplicate_within_one_call_raises(self):
+        (one, slots), (many, _) = stores_with_slots(4)
+        batch = [slots[0], slots[2], slots[0], slots[3]]
+        with pytest.raises(SlotAlreadyFree) as info:
+            many.free_many(batch)
+        assert info.value.slot == slots[0]
+        # The slots before the repeat were freed, as sequential calls
+        # leave them.
+        one.free(slots[0])
+        one.free(slots[2])
+        with pytest.raises(SlotAlreadyFree):
+            one.free(slots[0])
+        assert many.allocated_pages == one.allocated_pages == 2
+        assert ([many.alloc()[0] for _ in range(3)]
+                == [one.alloc()[0] for _ in range(3)])
+        one.close()
+        many.close()
+
+    def test_already_free_slot_raises(self):
+        store = PageStore()
+        slots = [store.alloc()[0] for _ in range(3)]
+        store.free(slots[1])
+        with pytest.raises(SlotAlreadyFree) as info:
+            store.free_many([slots[0], slots[1], slots[2]])
+        assert info.value.slot == slots[1]
+        assert store.allocated_pages == 1
+        store.free_many([slots[2]])
+        assert store.allocated_pages == 0
+        store.close()
+
+    def test_closed_store_is_a_no_op(self):
+        store = PageStore()
+        slots = [store.alloc()[0] for _ in range(2)]
+        store.close()
+        store.free_many(slots)
+        store.free_many(slots + slots)
+        assert store.allocated_pages == 2
+
+    def test_memory_close_returns_every_frame_in_order(self):
+        store = PageStore()
+        memory = VirtualMemory(page_store=store)
+        base = memory.mmap(5 * PAGE_SIZE)
+        for page in (3, 0, 4):
+            memory.write_word(base + page * PAGE_SIZE, page + 1)
+        slots = list(memory._frame_slots.values())
+        memory.close()
+        assert store.allocated_pages == 0
+        assert [store.alloc()[0] for _ in slots] == slots[::-1]
+        store.close()
+
 class TestFrozenImage:
     def test_fork_copies_an_image_that_holds_no_frame(self):
         store = PageStore()

@@ -193,6 +193,21 @@ class TestValidation:
         with pytest.raises(ServingError, match="beyond"):
             ServingEngine(options, program=nginx[0], codec=nginx[1])
 
+    def test_two_swaps_at_one_batch_rejected(self, nginx, patch_text):
+        """Two swaps at one index would silently keep only the last."""
+        options = ServingOptions(service="nginx", requests=40,
+                                 batch_size=10,
+                                 swap_schedule=((1, patch_text), (1, "")))
+        with pytest.raises(ServingError, match="two swaps at batch index 1"):
+            ServingEngine(options, program=nginx[0], codec=nginx[1])
+
+    def test_negative_swap_index_rejected(self, nginx, patch_text):
+        options = ServingOptions(service="nginx", requests=40,
+                                 batch_size=10,
+                                 swap_schedule=((-1, patch_text),))
+        with pytest.raises(ServingError, match="negative batch index: -1"):
+            ServingEngine(options, program=nginx[0], codec=nginx[1])
+
     @pytest.mark.parametrize("field,value", [("requests", -5),
                                              ("attack_every", -3)])
     def test_negative_counts_rejected(self, field, value):

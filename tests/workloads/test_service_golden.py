@@ -11,7 +11,7 @@ unnoticed:
 * ``serve_main`` through a ``workers=1`` serving engine: every
   :class:`~repro.serving.session.BatchResult` field except ``wall``
   (nginx with planted leaks and the body patch swapped in at batch 1,
-  and mysql).
+  and mysql), and the report's outcome counts and outcome digest.
 
 The values are literals on purpose.  When one moves, the change that
 moved it must say why, next to the value.
@@ -93,12 +93,13 @@ def serve_batches(service, program=None, codec=None, **changes):
 
 def nginx_patched_serve():
     """nginx with a leak every 64 requests and the body patch swapped in
-    at batch 1: the pinned fields of every batch."""
+    at batch 1: the engine, its result and the pinned fields of every
+    batch."""
     program = NginxServer()
     base = ServingEngine(ServingOptions(service="nginx"), program=program)
     text = patch_config.dumps([nginx_body_patch(program, base.codec)])
     return serve_batches("nginx", program=program, codec=base.codec,
-                         attack_every=64, swap_schedule=((1, text),))[2]
+                         attack_every=64, swap_schedule=((1, text),))
 
 
 #: The services' CCIDs under the incremental strategy, by call site.
@@ -214,6 +215,22 @@ GOLDEN_SERVE = {
 }
 
 
+#: The report-level outcome fields of the same two serves: the status
+#: counts and the digest of every outcome in request order.
+GOLDEN_REPORT = {
+    "nginx": {"outcomes": {"blocked": 3, "leak": 1, "ok": 256},
+              "outcomes_digest": "5ce9c2abd9aceb3cf97eba990a100697"
+                                 "f8912050fe7b04f5738a78e2f6c14d08"},
+    "mysql": {"outcomes": {"ok": 256},
+              "outcomes_digest": "2216ad8d5d2337b9ca0d552969b13b1b"
+                                 "4dc06520ed795e27f728a89d3b8b87b1"},
+}
+
+
+def report_pin(result):
+    return {key: result.report[key] for key in GOLDEN_REPORT["nginx"]}
+
+
 @pytest.mark.parametrize("mode", ["native", "defended"])
 @pytest.mark.parametrize("service,program_cls",
                          [("nginx", NginxServer), ("mysql", MySqlServer)])
@@ -223,12 +240,15 @@ def test_main_pinned(service, program_cls, mode, monkeypatch):
 
 
 def test_nginx_serve_main_pinned():
-    assert nginx_patched_serve() == GOLDEN_SERVE["nginx"]
+    _, result, batches = nginx_patched_serve()
+    assert batches == GOLDEN_SERVE["nginx"]
+    assert report_pin(result) == GOLDEN_REPORT["nginx"]
 
 
 def test_mysql_serve_main_pinned():
-    _, _, batches = serve_batches("mysql")
+    _, result, batches = serve_batches("mysql")
     assert batches == GOLDEN_SERVE["mysql"]
+    assert report_pin(result) == GOLDEN_REPORT["mysql"]
 
 
 class TestBodyPatchCcid:
