@@ -75,11 +75,12 @@ class Allocator(abc.ABC):
     # -- batched entry points ------------------------------------------
     #
     # The serving engine issues heap traffic in same-call-site runs (one
-    # request batch allocates N same-shaped buffers back to back).  The
-    # run methods are observation-identical to a loop over the per-call
-    # API — same addresses, same stats, same errors in the same order —
-    # so concrete allocators may override them with fused loops but are
-    # never required to.
+    # request batch allocates N same-shaped buffers back to back).  A
+    # run is the loop over the per-call API below — same addresses, same
+    # stats, same errors in the same order, and the same state when an
+    # entry fails — unless an allocator overrides it with a fast path
+    # that ``tests/allocator/test_batched_runs.py`` holds equal to this
+    # loop.
 
     def malloc_run(self, sizes: Sequence[int]) -> List[int]:
         """Allocate one buffer per entry of ``sizes``, in order."""

@@ -226,50 +226,15 @@ class LibcAllocator(Allocator):
                 return
         self._free_chunk(address - HEADER_SIZE, chunk_size)
 
-    # -- batched entry points (fused loops; see Allocator.malloc_run) --
+    # -- batched entry points: the per-call loops.  They are restated
+    # here, not inherited, because perf/trace.py wraps the entry points
+    # it times from this class's own ``__dict__``.
 
     def malloc_run(self, sizes: Sequence[int]) -> List[int]:
-        allocate_chunk = self._allocate_chunk
-        live = self._live
-        out: List[int] = []
-        append = out.append
-        for size in sizes:
-            if size + HEADER_SIZE >= MMAP_THRESHOLD:
-                user = self._alloc_mmapped(size)
-            else:
-                base, chunk_size = allocate_chunk(
-                    request_to_chunk_size(size))
-                user = base + HEADER_SIZE
-                live[user] = chunk_size
-            append(user)
-        self.stats.record_malloc_run(sizes)
-        return out
+        return Allocator.malloc_run(self, sizes)
 
     def free_run(self, addresses: Sequence[int]) -> None:
-        live = self._live
-        mmapped = self._mmapped
-        free_chunk = self._free_chunk
-        usables: List[int] = []
-        append = usables.append
-        try:
-            for address in addresses:
-                if address == 0:
-                    continue
-                chunk_size = live.pop(address, None)
-                if chunk_size is None:
-                    self._validate_live(address, "free")
-                append(chunk_size - HEADER_SIZE)
-                if mmapped:
-                    mapping = mmapped.pop(address, None)
-                    if mapping is not None:
-                        map_base, length, _ = mapping
-                        self.memory.munmap(map_base, length)
-                        continue
-                free_chunk(address - HEADER_SIZE, chunk_size)
-        finally:
-            # On a bad free, the frees before it are recorded as the
-            # scalar loop would have recorded them.
-            self.stats.record_free_run(usables)
+        Allocator.free_run(self, addresses)
 
     def realloc(self, address: int, size: int) -> int:
         if address == 0:

@@ -23,7 +23,7 @@ because the defense only ever touches the public ``Allocator`` API.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..machine.errors import (DoubleFree, InvalidFree, MapError,
                               OutOfMemoryError)
@@ -182,96 +182,96 @@ class SegregatedAllocator(Allocator):
         usable = self._release(address)
         self.stats.record_free(usable)
 
-    # -- batched entry points (fused loops; see Allocator.malloc_run) --
+    # -- batched entry points (see Allocator.malloc_run) ---------------
+    #
+    # Uniform runs, one size class or one large length, are the
+    # request-batch shapes and take list-wise fast paths.  Any other
+    # ``malloc_run`` is the per-call loop, and any other ``free_run``
+    # releases entry by entry through ``free``'s own body.
 
     def malloc_run(self, sizes: Sequence[int]) -> List[int]:
         n = len(sizes)
-        if n == 0:
-            return []
-        first = sizes[0]
-        if 0 < first <= MAX_CLASS and sizes.count(first) == n:
-            # Uniform small run (the request-batch shape): resolve the
-            # size class once and take the slots in one slice — the
-            # same addresses, in the same order, n pops would yield.
+        first = sizes[0] if n else 0
+        if not (n and first > 0 and sizes.count(first) == n):
+            malloc = self.malloc
+            return [malloc(size) for size in sizes]
+        out: List[int] = []
+        if first <= MAX_CLASS:
             cls = _size_class(first)
-            slots = self._free_slots.get(cls)
-            if slots is None:
-                self._refill(cls)
-                slots = self._free_slots[cls]
-            out: List[int] = []
-            while len(out) < n:
-                # Scalar order: drain the current free list from its
-                # tail, refilling only once it runs empty — a refill
-                # mid-run must not jump ahead of older slots.
-                if not slots:
-                    self._refill(cls)
-                take = min(n - len(out), len(slots))
-                split = len(slots) - take
-                chunk = slots[split:]
-                chunk.reverse()
-                del slots[split:]
-                out.extend(chunk)
-            self._objects.update(zip(out, repeat(("slot", cls))))
-            if self._retired:
-                self._retired.difference_update(out)
-            self.stats.record_malloc_run(sizes)
+            try:
+                self._take_slots(cls, n, out)
+            finally:
+                # Slots taken before a failed refill stay live and
+                # counted, as they would after the per-call loop.
+                self._place(out, repeat(("slot", cls)), sizes)
             return out
-        if first > MAX_CLASS and sizes.count(first) == n:
-            # Uniform large run (response bodies, buffer pools):
-            # page-align once, drain the map cache LIFO, then map the
-            # rest as one cursor-placed mapping — protections are per
-            # page, so that maps the same pages at the same addresses,
-            # in the same order, as n ``_alloc_large`` calls, and each
-            # piece still unmaps alone.
-            length = page_align_up(first)
-            cached = self._map_cache.get(length)
-            out = []
-            if cached:
-                take = min(n, len(cached))
-                split = len(cached) - take
-                out = cached[split:]
-                out.reverse()
-                del cached[split:]
-                self._map_cached -= take
-            memory = self.memory
-            fresh = n - len(out)
-            if fresh and memory.fault_injector is None:
-                try:
-                    base = memory.mmap(fresh * length)
-                except (MapError, OutOfMemoryError):
-                    # A failed mmap maps nothing; the scalar loop below
-                    # maps the same prefix and raises at the same piece.
-                    pass
-                else:
-                    out.extend(range(base, base + fresh * length, length))
-            mmap = memory.mmap
-            while len(out) < n:
-                out.append(mmap(length))
-            self._objects.update(
-                (base, ("large", (base, length))) for base in out)
-            if self._retired:
-                self._retired.difference_update(out)
-            self.stats.record_malloc_run(sizes)
-            return out
-        allocate = self._allocate
-        out = []
-        append = out.append
-        for size in sizes:
-            if size < 0:
-                raise ValueError("malloc: negative size")
-            append(allocate(size))
-        self.stats.record_malloc_run(sizes)
+        length = page_align_up(first)
+        self._map_large(length, n, out)
+        self._place(out, (("large", (base, length)) for base in out),
+                    sizes)
+        # Whatever the one mapping could not place goes per call.
+        while len(out) < n:
+            out.append(self.malloc(first))
         return out
+
+    def _place(self, out: List[int], entries: Iterable[Tuple[str, object]],
+               sizes: Sequence[int]) -> None:
+        """Register ``out`` as live objects and count them as the first
+        ``len(out)`` mallocs of ``sizes``."""
+        self._objects.update(zip(out, entries))
+        if self._retired:
+            self._retired.difference_update(out)
+        self.stats.record_malloc_run(
+            sizes if len(out) == len(sizes) else sizes[:len(out)])
+
+    def _take_slots(self, cls: int, n: int, out: List[int]) -> None:
+        """Append ``n`` slots of class ``cls`` to ``out``: the same
+        addresses, in the same order, ``n`` ``_alloc_small`` pops yield."""
+        slots = self._free_slots.setdefault(cls, [])
+        while len(out) < n:
+            # Scalar order: drain the current free list from its tail,
+            # refilling only once it runs empty — a refill mid-run must
+            # not jump ahead of older slots.
+            if not slots:
+                self._refill(cls)
+            take = min(n - len(out), len(slots))
+            split = len(slots) - take
+            out.extend(reversed(slots[split:]))
+            del slots[split:]
+
+    def _map_large(self, length: int, n: int, out: List[int]) -> None:
+        """Append up to ``n`` dedicated mappings of ``length`` bytes to
+        ``out`` without raising: drain the map cache LIFO, then map the
+        rest as one cursor-placed mapping.  Protections are per page,
+        so that maps the same pages at the same addresses, in the same
+        order, as ``_alloc_large`` calls would, and each piece still
+        unmaps alone."""
+        cached = self._map_cache.get(length)
+        if cached:
+            take = min(n, len(cached))
+            split = len(cached) - take
+            out.extend(reversed(cached[split:]))
+            del cached[split:]
+            self._map_cached -= take
+        fresh = n - len(out)
+        if fresh and self.memory.fault_injector is None:
+            # Under a fault schedule every piece maps alone, so the
+            # injector counts the operations the per-call loop makes.
+            try:
+                base = self.memory.mmap(fresh * length)
+            except (MapError, OutOfMemoryError):
+                # A failed mmap maps nothing; the per-call loop maps the
+                # same prefix and raises at the same piece.
+                return
+            out.extend(range(base, base + fresh * length, length))
 
     def free_run(self, addresses: Sequence[int]) -> None:
         # Bulk-pop every entry first (C-speed ``map``), then release by
-        # shape.  Uniform runs — one size class, or one large length —
-        # are the request-batch shapes and take list-wise fast paths
-        # that do exactly what ``n`` scalar ``_release`` calls would.
+        # shape: uniform runs do list-wise exactly what ``n`` scalar
+        # ``_release`` calls would.
         live = [address for address in addresses if address]
         n = len(live)
         if n == 0:
-            self.stats.record_free_run([])
             return
         objects = self._objects
         entries = list(map(objects.pop, live, repeat(None, n)))
@@ -285,19 +285,17 @@ class SegregatedAllocator(Allocator):
                     objects[address] = entry
             for address in live:
                 self.free(address)
+        self._retired.update(live)
         first = entries[0]
-        if first[0] == "slot":
-            if entries.count(first) == n:
-                cls = first[1]
-                self._retired.update(live)
-                self._free_slots.setdefault(cls, []).extend(live)
-                self.stats.record_free_run([cls] * n)
-                return
-        elif first[0] == "large":
+        if first[0] == "slot" and entries.count(first) == n:
+            cls = first[1]
+            self._free_slots.setdefault(cls, []).extend(live)
+            self.stats.record_free_run([cls] * n)
+            return
+        if first[0] == "large":
             length = first[1][1]
             if all(entry[0] == "large" and entry[1] == (address, length)
                    for address, entry in zip(live, entries)):
-                self._retired.update(live)
                 room = self._map_cache_limit - self._map_cached
                 take = min(room, n) if room > 0 else 0
                 if take:
@@ -309,28 +307,8 @@ class SegregatedAllocator(Allocator):
                     munmap(base, length)
                 self.stats.record_free_run([length] * n)
                 return
-        retired_add = self._retired.add
-        free_slots = self._free_slots
-        map_cache = self._map_cache
-        map_cache_limit = self._map_cache_limit
-        munmap = self.memory.munmap
-        usables: List[int] = []
-        append = usables.append
-        for address, entry in zip(live, entries):
-            retired_add(address)
-            kind, info = entry
-            if kind == "slot":
-                free_slots.setdefault(info, []).append(address)
-                append(info)
-                continue
-            base, length = info
-            if address == base and self._map_cached < map_cache_limit:
-                map_cache.setdefault(length, []).append(base)
-                self._map_cached += 1
-            else:
-                munmap(base, length)
-            append(base + length - address)
-        self.stats.record_free_run(usables)
+        release = self._release_entry
+        self.stats.record_free_run(list(map(release, live, entries)))
 
     def _release(self, address: int) -> int:
         """Return an object to its slab or unmap it; returns its size."""
@@ -341,6 +319,12 @@ class SegregatedAllocator(Allocator):
             raise InvalidFree(address,
                               reason="free of pointer not from this heap")
         self._retired.add(address)
+        return self._release_entry(address, entry)
+
+    def _release_entry(self, address: int,
+                       entry: Tuple[str, object]) -> int:
+        """Release the popped, retired object ``entry`` at ``address``;
+        returns its size."""
         kind, info = entry
         if kind == "slot":
             self._free_slots.setdefault(info, []).append(address)

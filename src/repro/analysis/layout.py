@@ -235,10 +235,6 @@ class LayoutResult:
         """True when the adjacency graph is non-empty."""
         return bool(self.pairs)
 
-    def pairs_for(self, source: AllocSiteId) -> List[AdjacentPair]:
-        """All adjacency edges whose overflow source is ``source``."""
-        return [pair for pair in self.pairs if pair.source == source]
-
     def render(self, verbose: bool = False) -> str:
         """Human-readable report; ``verbose`` adds sites and plans."""
         lines = [f"layout {self.program_name}: {len(self.sites)} "

@@ -103,15 +103,6 @@ class ProgramModel:
     #: Problems encountered during extraction (missing source, ...).
     notes: List[str] = field(default_factory=list)
 
-    def methods_for_guest(self, guest: str) -> List[MethodInfo]:
-        """Methods that may execute as guest function ``guest``."""
-        return [info for name, info in self.methods.items()
-                if guest in self.guest_names.get(name, set())]
-
-    def is_dynamic(self, method: str) -> bool:
-        """True when ``method`` may run under an unknown guest identity."""
-        return DYNAMIC in self.guest_names.get(method, set())
-
 
 def _literal_str(node: Any) -> Optional[str]:
     """The string a node statically evaluates to, or None."""

@@ -21,15 +21,18 @@ creating views.  :meth:`PageStore.close` releases them.
 Stores are private to their process: each worker of a pool builds its
 own, and no page frame ever crosses a process boundary.
 
-A slot is "dirty" exactly while it is allocated; freed slots are
-re-zeroed lazily on reuse so fresh frames always read as zero (the
-demand-paging contract of :class:`~repro.machine.memory.VirtualMemory`).
-Freeing a slot that is already free raises :class:`SlotAlreadyFree`:
-handing one frame to two owners would alias their pages.
+The store keeps the set of slots it has handed out.  A free slot that
+was handed out before (it has views) may hold data, so it is re-zeroed
+on reuse and fresh frames always read as zero (the demand-paging
+contract of :class:`~repro.machine.memory.VirtualMemory`); a slot never
+handed out is still zero.  Freeing a slot that is not in the set
+(already free, never handed out, or out of range) raises
+:class:`SlotAlreadyFree`: handing one frame to two owners would alias
+their pages.
 """
 from __future__ import annotations
 
-from typing import Any, Collection, List, Optional, Sequence, Tuple
+from typing import Any, Collection, List, Optional, Sequence, Set, Tuple
 
 from .layout import PAGE_SIZE
 
@@ -49,11 +52,12 @@ class PageStoreClosed(RuntimeError):
 
 
 class SlotAlreadyFree(ValueError):
-    """``free`` of a slot that is not allocated (a double free)."""
+    """``free`` of a slot that is not allocated: a double free, or a
+    slot the store never handed out."""
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
-        super().__init__(f"page-store slot {slot} is already free")
+        super().__init__(f"page-store slot {slot} is not allocated")
 
 
 class PageStore:
@@ -67,12 +71,11 @@ class PageStore:
         #: Slot id of the first page of each segment.
         self._segment_base: List[int] = []
         self._free_slots: List[int] = []
-        #: Freed slots whose contents were not re-zeroed yet.
-        self._dirty_slots: set = set()
+        #: Slots handed out and not freed since.
+        self._allocated: Set[int] = set()
         #: Per slot: its ``(byte view, word view)`` once handed out.
         self._slot_views: List[Optional[Tuple[memoryview, memoryview]]] = []
         self._total_slots = 0
-        self._allocated = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -106,12 +109,11 @@ class PageStore:
         raise ValueError(f"slot {slot} out of range")
 
     def _views_for(self, slot: int) -> Tuple[memoryview, memoryview]:
-        views = self._slot_views[slot]
-        if views is None:
-            seg, index = self._locate(slot)
-            start = index * PAGE_SIZE
-            window = self._segment_views[seg][start:start + PAGE_SIZE]
-            views = self._slot_views[slot] = (window, window.cast("Q"))
+        """Build the views of a slot handed out for the first time."""
+        seg, index = self._locate(slot)
+        start = index * PAGE_SIZE
+        window = self._segment_views[seg][start:start + PAGE_SIZE]
+        views = self._slot_views[slot] = (window, window.cast("Q"))
         return views
 
     # ------------------------------------------------------------------
@@ -129,12 +131,15 @@ class PageStore:
         if not self._free_slots:
             self._add_segment()
         slot = self._free_slots.pop()
-        window, words = self._slot_views[slot] or self._views_for(slot)
-        if slot in self._dirty_slots:
-            # The slot held data before; restore the zero-page contract.
-            self._dirty_slots.discard(slot)
+        views = self._slot_views[slot]
+        if views is None:
+            window, words = self._views_for(slot)
+        else:
+            # The slot was handed out before and may hold data; restore
+            # the zero-page contract.
+            window, words = views
             window[:] = _ZERO_PAGE
-        self._allocated += 1
+        self._allocated.add(slot)
         return slot, window, words
 
     def alloc_copies(self, pages: Sequence[Any]
@@ -151,50 +156,47 @@ class PageStore:
         free_slots = self._free_slots
         while len(free_slots) < len(pages):
             self._add_segment()
-        dirty = self._dirty_slots
         slot_views = self._slot_views
         out = []
         for contents in pages:
             slot = free_slots.pop()
             window, words = slot_views[slot] or self._views_for(slot)
-            dirty.discard(slot)
             window[:] = contents
             out.append((slot, window, words))
-        self._allocated += len(pages)
+        self._allocated.update(slot for slot, _, _ in out)
         return out
 
     def free(self, slot: int) -> None:
         """Return a slot to the free list (contents re-zeroed on reuse).
 
-        Raises :class:`SlotAlreadyFree` if ``slot`` is already free.
+        Raises :class:`SlotAlreadyFree` if ``slot`` is not allocated.
         """
         if self._closed:
             return
-        if slot in self._dirty_slots:
+        allocated = self._allocated
+        if slot not in allocated:
             raise SlotAlreadyFree(slot)
+        allocated.remove(slot)
         self._free_slots.append(slot)
-        self._dirty_slots.add(slot)
-        self._allocated -= 1
 
     def free_many(self, slots: Collection[int]) -> None:
         """:meth:`free` every slot of ``slots``, in order, in one call.
 
         The slots join the free list in the order sequential ``free``
         calls would leave them, so later allocations hand out the same
-        frames.  A slot that is already free, or named twice, raises
+        frames.  A slot that is not allocated, or named twice, raises
         :class:`SlotAlreadyFree` after the slots before it were freed,
         as sequential calls would.
         """
         if self._closed:
             return
-        dirty = self._dirty_slots
-        fresh = set(slots)
-        if len(fresh) != len(slots) or not dirty.isdisjoint(fresh):
-            for slot in slots:  # raises at the first double free
+        allocated = self._allocated
+        freed = set(slots)
+        if len(freed) != len(slots) or not freed <= allocated:
+            for slot in slots:  # raises at the first bad free
                 self.free(slot)
-        dirty |= fresh
+        allocated -= freed
         self._free_slots.extend(slots)
-        self._allocated -= len(slots)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -202,8 +204,8 @@ class PageStore:
 
     @property
     def allocated_pages(self) -> int:
-        """Slots currently handed out (the store's dirty-page count)."""
-        return self._allocated
+        """Slots currently handed out."""
+        return len(self._allocated)
 
     @property
     def capacity_pages(self) -> int:

@@ -126,19 +126,11 @@ class Process:
         context_source: the encoding runtime (or stack walker); defaults
             to no tracking.
         meter: cycle meter; a fresh one is created when omitted.
-        record_allocations: keep an :class:`AllocationEvent` log and the
-            :attr:`live_allocations` map of the same events (the offline
-            analyzer and profiling runs need them; defaults on — the
-            defended and native runs and serving sessions, which have no
-            reader for either, turn it off).
-        capture_context: record the true calling context tuple on each
-            :class:`AllocationEvent`.  ``True``/``False`` switch the
-            whole process; a *collection of site ids* captures tuples
-            only for allocations flowing through those call sites (the
-            per-site opt-out the fused fast paths lean on).  Defaults to
-            ``record_allocations`` — when the event log is off the
-            tuples would be dropped anyway, so benchmark loops skip
-            building them.
+        record_allocations: keep the :attr:`allocations` log, one
+            :class:`AllocationEvent` with its true calling context per
+            allocation (the offline analyzer and profiling runs need
+            it; defaults on — the defended and native runs and serving
+            sessions, which have no reader for it, turn it off).
     """
 
     def __init__(self, graph: CallGraph,
@@ -146,8 +138,7 @@ class Process:
                  heap: Optional[Allocator] = None,
                  context_source: Optional[ContextSource] = None,
                  meter: Optional[CycleMeter] = None,
-                 record_allocations: bool = True,
-                 capture_context: Optional[bool] = None) -> None:
+                 record_allocations: bool = True) -> None:
         self.graph = graph
         self.meter = meter if meter is not None else CycleMeter()
         if monitor is None:
@@ -160,8 +151,6 @@ class Process:
             context_source if context_source is not None
             else NullContextSource())
         self.record_allocations = record_allocations
-        self.capture_context = (record_allocations if capture_context is None
-                                else capture_context)
 
         # Hot-path bindings: the call/alloc protocol runs these on every
         # guest call; binding them once removes repeated attribute walks.
@@ -207,12 +196,11 @@ class Process:
         #: runs.
         self.scheduler: Optional[Any] = None
         self.scheduler_thread_id: Optional[int] = None
-        self._alloc_serial = 0
+        #: Every allocation, in order, when ``record_allocations`` is on;
+        #: an event's serial is its index here.
         self.allocations: List[AllocationEvent] = []
         #: (fun, ccid) -> number of allocations observed.
         self.alloc_profile: Counter = Counter()
-        #: address -> most recent AllocationEvent for that address.
-        self.live_allocations: Dict[int, AllocationEvent] = {}
 
     # ------------------------------------------------------------------
     # Call protocol
@@ -276,22 +264,19 @@ class Process:
         """A copy of this process over forked layers: ``monitor`` over
         forks of its memory and heap, ``context_source`` and ``meter``
         forks of its own.  The copy holds a copy of the stack, the
-        allocation profile, log and serial, and the last allocation
-        site; it shares the bound call sites, which forked layers bind
+        allocation profile and log, and the last allocation site; it
+        shares the bound call sites, which forked layers bind
         identically."""
         twin = Process(self.graph, monitor=monitor,
                        context_source=context_source, meter=meter,
-                       record_allocations=self.record_allocations,
-                       capture_context=self.capture_context)
+                       record_allocations=self.record_allocations)
         twin._calls = self._calls
         twin._heap_calls = self._heap_calls
         twin._stack = list(self._stack)
         twin._hooked = self._hooked
         twin.last_alloc_site = self.last_alloc_site
-        twin._alloc_serial = self._alloc_serial
         twin.allocations = list(self.allocations)
         twin.alloc_profile = self.alloc_profile.copy()
-        twin.live_allocations = dict(self.live_allocations)
         return twin
 
     def _bind(self, bound: Dict[Tuple[str, str, str], BoundSite],
@@ -365,15 +350,6 @@ class Process:
         if self.scheduler is not None:
             self.scheduler.checkpoint(self.scheduler_thread_id)
 
-    def _captures(self, call_site: CallSite) -> bool:
-        """Whether this allocation site records its true context tuple."""
-        capture = self.capture_context
-        if capture is True:
-            return True
-        if not capture:
-            return False
-        return call_site.site_id in capture
-
     def _heap_crossing(self, fun: str, site: str,
                        count: int) -> Tuple[CallSite, int]:
         """Cross the heap call site ``site`` to ``fun`` from the current
@@ -411,21 +387,21 @@ class Process:
         call_site, ccid = self._heap_crossing(fun, site, 1)
         address = self.monitor.heap_alloc(fun, *args)
         self.alloc_profile[(fun, ccid)] += 1
-        serial = self._alloc_serial
-        self._alloc_serial = serial + 1
         if self.record_allocations:
-            event = AllocationEvent(
-                serial=serial,
-                fun=fun,
-                ccid=ccid,
-                address=address,
-                size=args[-1] if fun != "calloc" else args[0] * args[1],
-                context=(self.current_context() + (call_site.site_id,)
-                         if self._captures(call_site) else ()),
-            )
-            self.allocations.append(event)
-            self.live_allocations[address] = event
+            size = args[-1] if fun != "calloc" else args[0] * args[1]
+            self._log(fun, ccid, call_site, (address,), (size,))
         return address
+
+    def _log(self, fun: str, ccid: int, call_site: CallSite,
+             addresses: Sequence[int], sizes: Sequence[int]) -> None:
+        """Append one :class:`AllocationEvent` per allocation of a run
+        of ``fun`` through ``call_site``, numbered from the log's
+        length."""
+        log = self.allocations
+        context = self.current_context() + (call_site.site_id,)
+        log.extend(AllocationEvent(serial, fun, ccid, address, size, context)
+                   for serial, (address, size)
+                   in enumerate(zip(addresses, sizes), len(log)))
 
     def malloc(self, size: int, site: str = "") -> int:
         """Guest ``malloc`` through the declared call site."""
@@ -455,30 +431,14 @@ class Process:
         call_site, ccid = self._heap_crossing("realloc", site, 1)
         new_address = self.monitor.heap_alloc("realloc", address, size)
         self.alloc_profile[("realloc", ccid)] += 1
-        self.live_allocations.pop(address, None)
-        if size > 0 and new_address:
-            serial = self._alloc_serial
-            self._alloc_serial = serial + 1
-            if self.record_allocations:
-                event = AllocationEvent(
-                    serial=serial,
-                    fun="realloc",
-                    ccid=ccid,
-                    address=new_address,
-                    size=size,
-                    context=(self.current_context() + (call_site.site_id,)
-                             if self._captures(call_site) else ()),
-                )
-                self.allocations.append(event)
-                self.live_allocations[new_address] = event
+        if self.record_allocations and size > 0 and new_address:
+            self._log("realloc", ccid, call_site, (new_address,), (size,))
         return new_address
 
     def free(self, address: int) -> None:
         """Guest ``free``."""
         self._checkpoint()
         self.monitor.heap_free(address)
-        if self.live_allocations:
-            self.live_allocations.pop(address, None)
 
     # ------------------------------------------------------------------
     # Batched heap API (same-call-site runs)
@@ -492,11 +452,10 @@ class Process:
         flows through the same call site, so the per-call path would
         compute the identical CCID each time.  The crossing counts the
         run length, so encoding cycles, update counters and coverage
-        still count every crossing.  Profile counts, events and live
-        tracking match a per-call loop exactly.  Under a lock-step
-        scheduler, or when the CCID read is impure, the run is replayed
-        per call so every allocation stays a preemption point and reads
-        its own CCID.
+        still count every crossing.  Profile counts and events match a
+        per-call loop exactly.  Under a lock-step scheduler, or when the
+        CCID read is impure, the run is replayed per call so every
+        allocation stays a preemption point and reads its own CCID.
         """
         if not sizes:
             return []
@@ -505,18 +464,8 @@ class Process:
         call_site, ccid = self._heap_crossing("malloc", site, len(sizes))
         addresses = self.monitor.heap_alloc_run("malloc", sizes)
         self.alloc_profile[("malloc", ccid)] += len(sizes)
-        serial = self._alloc_serial
-        self._alloc_serial = serial + len(sizes)
         if self.record_allocations:
-            context = (self.current_context() + (call_site.site_id,)
-                       if self._captures(call_site) else ())
-            for address, size in zip(addresses, sizes):
-                event = AllocationEvent(
-                    serial=serial, fun="malloc", ccid=ccid,
-                    address=address, size=size, context=context)
-                serial += 1
-                self.allocations.append(event)
-                self.live_allocations[address] = event
+            self._log("malloc", ccid, call_site, addresses, sizes)
         return addresses
 
     def free_run(self, addresses: List[int]) -> None:
@@ -528,10 +477,6 @@ class Process:
                 self.free(address)
             return
         self.monitor.heap_free_run(addresses)
-        if self.live_allocations:
-            pop = self.live_allocations.pop
-            for address in addresses:
-                pop(address, None)
 
     # ------------------------------------------------------------------
     # Memory API

@@ -118,11 +118,6 @@ class SpecProfile:
         """Table IV realloc count after 1:10,000 scaling."""
         return scaled(self.realloc_calls)
 
-    @property
-    def total_scaled_allocations(self) -> int:
-        """All scaled allocation calls the synthetic program makes."""
-        return self.scaled_malloc + self.scaled_calloc + self.scaled_realloc
-
 
 #: The 12 SPEC CPU2006 INT profiles.  Allocation counts are Table IV
 #: verbatim; shape knobs are set per the benchmark's published character.

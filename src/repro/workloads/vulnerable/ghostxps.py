@@ -37,11 +37,6 @@ class XpsDocument:
     declared_size: int
     glyph_data: bytes
 
-    @property
-    def well_formed(self) -> bool:
-        """True when the declared size matches the shipped bytes."""
-        return self.declared_size == len(self.glyph_data)
-
 
 class GhostXpsRenderer(VulnerableProgram):
     """The vulnerable XPS renderer."""

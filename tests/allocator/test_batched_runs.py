@@ -14,9 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.allocator.base import ALLOCATION_FUNCTIONS
-from repro.allocator.libc import LibcAllocator
+from repro.allocator.libc import MMAP_THRESHOLD, LibcAllocator
 from repro.allocator.segregated import (
     MAX_CLASS,
+    SLAB_SIZE,
     SegregatedAllocator,
 )
 from repro.allocator.stats import AllocationStats
@@ -99,14 +100,14 @@ def large_twins(map_cache=0, injector=None):
         map_cache=map_cache) for _ in range(2)]
 
 
-def scalar_large(allocator, sizes):
-    """The scalar oracle: one ``_alloc_large`` per size, stopping at the
-    first error; returns (addresses, error)."""
+def loop_until_error(allocator, sizes):
+    """The per-call loop a run must equal: ``malloc`` per entry, stopped
+    at the first error; returns (addresses, error)."""
     done = []
     try:
         for size in sizes:
-            done.append(allocator._alloc_large(size))
-    except (MapError, OutOfMemoryError) as error:
+            done.append(allocator.malloc(size))
+    except Exception as error:  # the run must raise the same
         return done, error
     return done, None
 
@@ -128,7 +129,7 @@ class TestOneMappingLargeRun:
     def test_matches_scalar_calls(self, size, k):
         batched, scalar = large_twins()
         got = batched.malloc_run([size] * k)
-        want, error = scalar_large(scalar, [size] * k)
+        want, error = loop_until_error(scalar, [size] * k)
         assert error is None
         assert got == want
         assert (list(batched.memory.iter_mappings())
@@ -140,7 +141,7 @@ class TestOneMappingLargeRun:
     def test_pieces_unmap_alone(self):
         batched, scalar = large_twins()
         got = batched.malloc_run([LARGE] * 5)
-        want, _ = scalar_large(scalar, [LARGE] * 5)
+        want, _ = loop_until_error(scalar, [LARGE] * 5)
         for allocator, addresses in ((batched, got), (scalar, want)):
             allocator.free(addresses[2])
             allocator.free(addresses[0])
@@ -155,7 +156,7 @@ class TestOneMappingLargeRun:
         batched, scalar = large_twins(injector={"mmap": budget})
         with pytest.raises((MapError, OutOfMemoryError)) as run_error:
             batched.malloc_run([LARGE] * k)
-        done, loop_error = scalar_large(scalar, [LARGE] * k)
+        done, loop_error = loop_until_error(scalar, [LARGE] * k)
         assert len(done) == budget
         assert type(run_error.value) is type(loop_error)
         assert str(run_error.value) == str(loop_error)
@@ -163,6 +164,9 @@ class TestOneMappingLargeRun:
                 == list(scalar.memory.iter_mappings()))
         assert (batched.memory.fault_injector.passed
                 == scalar.memory.fault_injector.passed)
+        # The pieces mapped before the failure stay live and counted.
+        assert batched.live_buffer_count == scalar.live_buffer_count
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
 
     def test_planted_mapping_raises_after_the_same_prefix(self):
         length = page_align_up(LARGE)
@@ -175,7 +179,7 @@ class TestOneMappingLargeRun:
                 PAGE_SIZE, address=probe + PAGE_SIZE + 3 * length)
         with pytest.raises(MapError) as run_error:
             batched.malloc_run([LARGE] * 5)
-        done, loop_error = scalar_large(scalar, [LARGE] * 5)
+        done, loop_error = loop_until_error(scalar, [LARGE] * 5)
         assert isinstance(loop_error, MapError) and len(done) == 3
         assert str(run_error.value) == str(loop_error)
         assert (list(batched.memory.iter_mappings())
@@ -201,6 +205,107 @@ class TestOneMappingLargeRun:
         assert (list(batched.memory.iter_mappings())
                 == list(scalar.memory.iter_mappings()))
         assert batched.stats.snapshot() == scalar.stats.snapshot()
+
+
+ALLOCATORS = {"libc": LibcAllocator, "segregated": SegregatedAllocator}
+
+#: Runs that stop partway: case -> (sizes, fault op, the allocators
+#: whose per-call loop spends that op on it, budgets).  Budget ``k``
+#: lets ``k`` operations succeed, so on those allocators the run fails
+#: at every position the loop can fail at and completes at the last
+#: budget.  Every case also runs on the other allocator.
+PARTIAL_RUNS = {
+    "uniform-large": ([LARGE] * 5, "mmap", {"segregated"}, range(6)),
+    "libc-mmapped": ([MMAP_THRESHOLD] * 5, "mmap",
+                     {"libc", "segregated"}, range(6)),
+    # Class 4096 holds 16 slots per slab: refills at entries 0, 16, 32.
+    "slot-refill": ([MAX_CLASS] * 40, "mmap", {"segregated"}, range(4)),
+    # Heap growth stops after entries 0, 12, 25 and 38.
+    "heap-growth": ([LARGE] * 40, "sbrk", {"libc"}, range(5)),
+}
+PARTIAL_RUN_CASES = [
+    pytest.param(kind, name, budget, id=f"{kind}-{name}-{budget}")
+    for kind in ALLOCATORS
+    for name, (_, _, _, budgets) in PARTIAL_RUNS.items()
+    for budget in budgets]
+
+#: Fallback runs (mixed sizes) with a negative size at each position.
+MIXED = [48, LARGE, 64, MMAP_THRESHOLD]
+NEGATIVE_RUN_CASES = [
+    pytest.param(kind, MIXED[:k] + [-1] + MIXED[k:], id=f"{kind}-{k}")
+    for kind in ALLOCATORS for k in range(len(MIXED) + 1)]
+
+
+def run_until_error(allocator, sizes):
+    try:
+        return allocator.malloc_run(sizes), None
+    except Exception as error:
+        return None, error
+
+
+def after_partial_run(allocator):
+    """What a failed run leaves behind: live buffers, counters,
+    mappings, and where the next allocations land once faults stop."""
+    injector = allocator.memory.fault_injector
+    if injector is not None:
+        injector.disarm()
+    if isinstance(allocator, LibcAllocator):
+        allocator.check_consistency()
+    state = (allocator.live_buffer_count, allocator.stats.snapshot(),
+             dict(allocator.stats.size_histogram),
+             list(allocator.memory.iter_mappings()), allocator.memory.brk)
+    probe = [allocator.malloc(size)
+             for size in (64, MAX_CLASS, LARGE, MMAP_THRESHOLD)]
+    return state, probe
+
+
+class TestPartialRuns:
+    """A run that fails at entry ``k`` leaves exactly the state of the
+    per-call loop stopped at entry ``k``: the entries before it live
+    and counted, nothing else mapped."""
+
+    @staticmethod
+    def _compare(make, sizes):
+        run, loop = make(), make()
+        got, run_error = run_until_error(run, sizes)
+        want, loop_error = loop_until_error(loop, sizes)
+        assert type(run_error) is type(loop_error)
+        assert str(run_error) == str(loop_error)
+        if loop_error is None:
+            assert got == want
+        assert after_partial_run(run) == after_partial_run(loop)
+        return loop_error, want
+
+    @pytest.mark.parametrize("kind,name,budget", PARTIAL_RUN_CASES)
+    def test_fault_partway_equals_the_stopped_loop(self, kind, name,
+                                                   budget):
+        sizes, op, spenders, budgets = PARTIAL_RUNS[name]
+
+        def make():
+            return ALLOCATORS[kind](VirtualMemory(
+                fault_injector=FaultInjector({op: budget})))
+
+        error, _ = self._compare(make, sizes)
+        if kind in spenders:
+            assert (error is None) == (budget == budgets[-1])
+            assert error is None or isinstance(error, OutOfMemoryError)
+
+    @pytest.mark.parametrize("kind,sizes", NEGATIVE_RUN_CASES)
+    def test_negative_size_equals_the_stopped_loop(self, kind, sizes):
+        error, done = self._compare(ALLOCATORS[kind], sizes)
+        assert error is not None
+        assert len(done) == sizes.index(-1)
+
+    def test_slab_refill_fault_keeps_the_slots_taken(self):
+        """The uniform small path takes 16 slots, then its refill
+        fails: those 16 stay live and counted."""
+        assert SLAB_SIZE // MAX_CLASS == 16
+        allocator = SegregatedAllocator(VirtualMemory(
+            fault_injector=FaultInjector({"mmap": 1})))
+        with pytest.raises(OutOfMemoryError):
+            allocator.malloc_run([MAX_CLASS] * 20)
+        assert allocator.live_buffer_count == 16
+        assert allocator.stats.live_buffers == 16
 
 
 class TestSegregatedFreeRun:

@@ -68,6 +68,29 @@ class TestSlotReuse:
         assert store.allocated_pages == 2
         store.close()
 
+    def test_never_handed_out_slot_raises(self):
+        """A fresh slot sits on the free list; freeing it would queue it
+        twice and hand one frame to two owners."""
+        store = PageStore()
+        store.alloc()
+        with pytest.raises(SlotAlreadyFree) as info:
+            store.free(5)
+        assert info.value.slot == 5
+        frames = {store.alloc()[0] for _ in range(PRIVATE_SEGMENT_PAGES - 1)}
+        assert len(frames) == PRIVATE_SEGMENT_PAGES - 1
+        assert store.allocated_pages == PRIVATE_SEGMENT_PAGES
+        store.close()
+
+    @pytest.mark.parametrize("slot", [-1, PRIVATE_SEGMENT_PAGES, 10**6])
+    def test_out_of_range_slot_raises(self, slot):
+        store = PageStore()
+        store.alloc()
+        with pytest.raises(SlotAlreadyFree) as info:
+            store.free(slot)
+        assert info.value.slot == slot
+        assert store.allocated_pages == 1
+        store.close()
+
 
 class TestClose:
     def test_close_releases_cached_views(self):
@@ -230,6 +253,30 @@ class TestFreeMany:
         assert store.allocated_pages == 1
         store.free_many([slots[2]])
         assert store.allocated_pages == 0
+        store.close()
+
+    def test_never_handed_out_slot_raises(self):
+        store = PageStore()
+        slots = [store.alloc()[0] for _ in range(2)]
+        never = PRIVATE_SEGMENT_PAGES - 1
+        assert never not in slots
+        with pytest.raises(SlotAlreadyFree) as info:
+            store.free_many([slots[0], never, slots[1]])
+        assert info.value.slot == never
+        assert store.allocated_pages == 1
+        store.free_many([slots[1]])
+        assert store.allocated_pages == 0
+        store.close()
+
+    @pytest.mark.parametrize("slot", [-1, PRIVATE_SEGMENT_PAGES, 10**6])
+    def test_out_of_range_slot_raises(self, slot):
+        store = PageStore()
+        held = store.alloc()[0]
+        with pytest.raises(SlotAlreadyFree) as info:
+            store.free_many([held, slot])
+        assert info.value.slot == slot
+        assert store.allocated_pages == 0
+        assert store.alloc()[0] == held
         store.close()
 
     def test_closed_store_is_a_no_op(self):

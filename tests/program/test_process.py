@@ -147,9 +147,17 @@ class TestAllocationTracking:
         process.run(program)
         assert sum(process.alloc_profile.values()) == 2
 
-    def test_live_allocations_shrink_on_free(self, program, process):
+    def test_event_serial_is_its_log_index(self, program, process):
         process.run(program)
-        assert process.live_allocations == {}
+        process.run(program)
+        assert [event.serial for event in process.allocations] \
+            == list(range(4))
+
+    def test_context_capture_is_not_an_option(self, program):
+        # Every recorded event carries its context; there is no knob.
+        with pytest.raises(TypeError):
+            Process(program.graph, heap=LibcAllocator(),
+                    capture_context=False)
 
     def test_record_allocations_off(self, program):
         process = Process(program.graph, heap=LibcAllocator(),

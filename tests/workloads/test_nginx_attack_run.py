@@ -102,7 +102,7 @@ class RecordingProcess(Process):
     """A :class:`Process` that always keeps the full event log."""
 
     def __init__(self, *args, **kwargs):
-        kwargs.update(record_allocations=True, capture_context=True)
+        kwargs.update(record_allocations=True)
         super().__init__(*args, **kwargs)
 
 
