@@ -31,11 +31,17 @@ entire benchmark suite is bottlenecked on this file):
 * a one-entry *translation cache* (page → (prot, frame, words)) and
   dedicated ``read_word``/``write_word``/``read_word_pair``/
   ``write_word_pair`` fast paths short-circuit even that probe for runs
-  of accesses to the same page; the cache is invalidated by
-  ``mprotect``/``munmap``/``sbrk`` shrink, and updated whenever a cached
-  page's frame is first materialized;
-* multi-page and bulk-word copies (``read_words``/``write_words``) go
-  through ``memoryview`` slices rather than per-element Python loops;
+  of accesses to the same page.  A page missing from the cache is
+  fetched by one refill, ``_tlb_fill``, which only ever caches a page
+  mapped with the permission the access needs; a cached page's frame is
+  updated whenever it is first materialized;
+* every cached translation (the one-entry cache and ``check_read``'s
+  span) is dropped at one invalidation point, ``_forget``, which
+  ``munmap``, ``mprotect``, a shrinking ``sbrk``, ``freeze`` and
+  ``close`` all call;
+* multi-page copies go through ``memoryview`` slices rather than
+  per-element Python loops; the bulk word ops ``read_words``/
+  ``write_words`` are thin calls to ``read``/``write``;
 * ``resolve`` hands a block executor the frame views behind a
   single-page, resident, sufficiently permitted span (and ``None`` for
   any other), so a block row checks each argument's page once and then
@@ -87,7 +93,6 @@ PROT_RW: int = PROT_READ | PROT_WRITE
 _ZERO_PAGE = bytes(PAGE_SIZE)
 _PAGE_MASK = PAGE_SIZE - 1
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
-_PAGE_WORDS = PAGE_SIZE >> 3
 _WORD_MASK = (1 << 64) - 1
 #: Highest page offset at which a 16-byte word pair fits in one page.
 _PAIR_LAST = PAGE_SIZE - 16
@@ -216,15 +221,7 @@ class VirtualMemory:
         if length <= 0:
             raise MapError(f"munmap: invalid length {length}")
         first = page_number(address)
-        count = page_align_up(length) // PAGE_SIZE
-        for pno in range(first, first + count):
-            self._protections.pop(pno, None)
-            if pno in self._frames:
-                self._discard_frame(pno)
-        self._tlb_page = -1
-        self._tlb_frame = None
-        self._tlb_words = None
-        self._read_span = (-1, -1)
+        self._unmap(range(first, first + page_align_up(length) // PAGE_SIZE))
 
     def mprotect(self, address: int, length: int, prot: int) -> None:
         """Change the protection of every page overlapping the range.
@@ -249,8 +246,7 @@ class VirtualMemory:
         for pno in range(first, first + count):
             self._protections[pno] = prot
         self.mprotect_count += 1
-        self._tlb_page = -1
-        self._read_span = (-1, -1)
+        self._forget()
 
     def sbrk(self, increment: int) -> int:
         """Grow (or shrink) the program break; return the previous break.
@@ -273,16 +269,8 @@ class VirtualMemory:
         elif increment < 0:
             if new_brk < HEAP_BASE:
                 raise MapError("sbrk: cannot shrink below heap base")
-            first_freed = page_number(page_align_up(new_brk))
-            last = page_number(page_align_up(old_brk))
-            for pno in range(first_freed, last):
-                self._protections.pop(pno, None)
-                if pno in self._frames:
-                    self._discard_frame(pno)
-            self._tlb_page = -1
-            self._tlb_frame = None
-            self._tlb_words = None
-            self._read_span = (-1, -1)
+            self._unmap(range(page_number(page_align_up(new_brk)),
+                              page_number(page_align_up(old_brk))))
         self._brk = new_brk
         return old_brk
 
@@ -291,9 +279,40 @@ class VirtualMemory:
         """The current program break."""
         return self._brk
 
+    def _unmap(self, pages: range) -> None:
+        """Drop ``pages``' mappings and resident frames."""
+        protections = self._protections
+        frames = self._frames
+        for pno in pages:
+            protections.pop(pno, None)
+            if pno in frames:
+                del frames[pno]
+                del self._frame_words[pno]
+                self._store.free(self._frame_slots.pop(pno))
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop every cached translation: the one invalidation point for
+        anything that revokes a mapping, a permission or a frame."""
+        self._tlb_page = -1
+        self._tlb_frame = None
+        self._tlb_words = None
+        self._read_span = (-1, -1)
+
     # ------------------------------------------------------------------
     # Access checking
     # ------------------------------------------------------------------
+
+    def _denied(self, address: int, size: int, needed: int) -> Optional[int]:
+        """The first page of ``[address, address+size)`` not mapped with
+        every bit of ``needed``, or ``None``.  ``size`` must be positive."""
+        protections = self._protections
+        for pno in range(address >> _PAGE_SHIFT,
+                         ((address + size - 1) >> _PAGE_SHIFT) + 1):
+            prot = protections.get(pno)
+            if prot is None or (prot & needed) != needed:
+                return pno
+        return None
 
     def _check(self, address: int, size: int, needed: int, kind: str) -> None:
         if size <= 0:
@@ -301,14 +320,24 @@ class VirtualMemory:
         if address < 0 or address + size > ADDRESS_SPACE_SIZE:
             self.fault_count += 1
             raise SegmentationFault(address, kind, size)
-        first = page_number(address)
-        last = page_number(address + size - 1)
-        for pno in range(first, last + 1):
-            prot = self._protections.get(pno)
-            if prot is None or (prot & needed) != needed:
-                self.fault_count += 1
-                fault_at = max(address, pno * PAGE_SIZE)
-                raise SegmentationFault(fault_at, kind, size)
+        pno = self._denied(address, size, needed)
+        if pno is not None:
+            self.fault_count += 1
+            raise SegmentationFault(max(address, pno << _PAGE_SHIFT), kind,
+                                    size)
+
+    def _tlb_fill(self, pno: int, needed: int) -> bool:
+        """Point the translation cache at page ``pno`` if it is mapped
+        with every bit of ``needed``; otherwise return False and leave
+        the cache as it was."""
+        prot = self._protections.get(pno)
+        if prot is None or (prot & needed) != needed:
+            return False
+        self._tlb_page = pno
+        self._tlb_prot = prot
+        self._tlb_frame = self._frames.get(pno)
+        self._tlb_words = self._frame_words.get(pno)
+        return True
 
     def _translate(self, address: int, size: int, needed: int,
                    kind: str) -> Tuple[int, int, Optional[memoryview]]:
@@ -320,23 +349,11 @@ class VirtualMemory:
         ``_check`` would.
         """
         pno = address >> _PAGE_SHIFT
-        if pno == self._tlb_page:
-            prot = self._tlb_prot
-            frame = self._tlb_frame
-        else:
-            prot = self._protections.get(pno, -1)
-            if prot < 0:
-                self.fault_count += 1
-                raise SegmentationFault(address, kind, size)
-            frame = self._frames.get(pno)
-            self._tlb_page = pno
-            self._tlb_prot = prot
-            self._tlb_frame = frame
-            self._tlb_words = self._frame_words.get(pno)
-        if (prot & needed) != needed:
+        if ((pno != self._tlb_page or (self._tlb_prot & needed) != needed)
+                and not self._tlb_fill(pno, needed)):
             self.fault_count += 1
             raise SegmentationFault(address, kind, size)
-        return pno, address & _PAGE_MASK, frame
+        return pno, address & _PAGE_MASK, self._tlb_frame
 
     def check_read(self, address: int, size: int) -> None:
         """Permission-check a read of the range without copying it.
@@ -384,11 +401,8 @@ class VirtualMemory:
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
         """True if every page in ``[address, address+size)`` is mapped."""
-        if size <= 0 or address < 0:
-            return False
-        first = page_number(address)
-        last = page_number(address + size - 1)
-        return all(pno in self._protections for pno in range(first, last + 1))
+        return (size > 0 and address >= 0
+                and self._denied(address, size, PROT_NONE) is None)
 
     def protection_of(self, address: int) -> Optional[int]:
         """Return the protection flags of the page holding ``address``."""
@@ -397,16 +411,9 @@ class VirtualMemory:
     def is_accessible(self, address: int, size: int = 1,
                       write: bool = False) -> bool:
         """True if the range can be read (and written, if asked) safely."""
-        needed = PROT_RW if write else PROT_READ
-        if size <= 0 or address < 0:
-            return False
-        first = page_number(address)
-        last = page_number(address + size - 1)
-        for pno in range(first, last + 1):
-            prot = self._protections.get(pno)
-            if prot is None or (prot & needed) != needed:
-                return False
-        return True
+        return (size > 0 and address >= 0
+                and self._denied(address, size,
+                                 PROT_RW if write else PROT_READ) is None)
 
     # ------------------------------------------------------------------
     # Data access
@@ -447,55 +454,26 @@ class VirtualMemory:
         """
         if not address & 7 and address >= 0:
             pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_READ:
-                    words = self._tlb_words
-                    if words is None:
-                        return 0
-                    return words[(address & _PAGE_MASK) >> 3]
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_READ:
-                    frame = self._frames.get(pno)
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    self._tlb_frame = frame
-                    if frame is None:
-                        self._tlb_words = None
-                        return 0
-                    words = self._frame_words[pno]
-                    self._tlb_words = words
-                    return words[(address & _PAGE_MASK) >> 3]
+            if ((pno == self._tlb_page and self._tlb_prot & PROT_READ)
+                    or self._tlb_fill(pno, PROT_READ)):
+                words = self._tlb_words
+                if words is None:
+                    return 0
+                return words[(address & _PAGE_MASK) >> 3]
         return int.from_bytes(self.read(address, 8), "little")
 
     def write_word(self, address: int, value: int) -> None:
         """Write a little-endian 64-bit word (value masked to 64 bits)."""
         if not address & 7 and address >= 0:
             pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_WRITE:
+            if ((pno == self._tlb_page and self._tlb_prot & PROT_WRITE)
+                    or self._tlb_fill(pno, PROT_WRITE)):
+                words = self._tlb_words
+                if words is None:
+                    self._materialize(pno)
                     words = self._tlb_words
-                    if words is None:
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
-                    return
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_WRITE:
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    words = self._frame_words.get(pno)
-                    if words is None:
-                        self._tlb_frame = None
-                        self._tlb_words = None
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    else:
-                        self._tlb_frame = self._frames[pno]
-                        self._tlb_words = words
-                    words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
-                    return
+                words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
+                return
         self.write(address, (value & _WORD_MASK).to_bytes(8, "little"))
 
     def read_word_pair(self, address: int) -> Tuple[int, int]:
@@ -508,27 +486,13 @@ class VirtualMemory:
         if (not address & 7 and address >= 0
                 and (address & _PAGE_MASK) <= _PAIR_LAST):
             pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_READ:
-                    words = self._tlb_words
-                    if words is None:
-                        return 0, 0
-                    i = (address & _PAGE_MASK) >> 3
-                    return words[i], words[i + 1]
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_READ:
-                    frame = self._frames.get(pno)
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    self._tlb_frame = frame
-                    if frame is None:
-                        self._tlb_words = None
-                        return 0, 0
-                    words = self._frame_words[pno]
-                    self._tlb_words = words
-                    i = (address & _PAGE_MASK) >> 3
-                    return words[i], words[i + 1]
+            if ((pno == self._tlb_page and self._tlb_prot & PROT_READ)
+                    or self._tlb_fill(pno, PROT_READ)):
+                words = self._tlb_words
+                if words is None:
+                    return 0, 0
+                i = (address & _PAGE_MASK) >> 3
+                return words[i], words[i + 1]
         data = self.read(address, 16)
         return (int.from_bytes(data[:8], "little"),
                 int.from_bytes(data[8:], "little"))
@@ -539,105 +503,29 @@ class VirtualMemory:
         if (not address & 7 and address >= 0
                 and (address & _PAGE_MASK) <= _PAIR_LAST):
             pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_WRITE:
+            if ((pno == self._tlb_page and self._tlb_prot & PROT_WRITE)
+                    or self._tlb_fill(pno, PROT_WRITE)):
+                words = self._tlb_words
+                if words is None:
+                    self._materialize(pno)
                     words = self._tlb_words
-                    if words is None:
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    i = (address & _PAGE_MASK) >> 3
-                    words[i] = low & _WORD_MASK
-                    words[i + 1] = high & _WORD_MASK
-                    return
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_WRITE:
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    words = self._frame_words.get(pno)
-                    if words is None:
-                        self._tlb_frame = None
-                        self._tlb_words = None
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    else:
-                        self._tlb_frame = self._frames[pno]
-                        self._tlb_words = words
-                    i = (address & _PAGE_MASK) >> 3
-                    words[i] = low & _WORD_MASK
-                    words[i + 1] = high & _WORD_MASK
-                    return
+                i = (address & _PAGE_MASK) >> 3
+                words[i] = low & _WORD_MASK
+                words[i + 1] = high & _WORD_MASK
+                return
         self.write(address,
                    (low & _WORD_MASK).to_bytes(8, "little")
                    + (high & _WORD_MASK).to_bytes(8, "little"))
 
     def read_words(self, address: int, count: int) -> "array[int]":
-        """Read ``count`` consecutive 64-bit words as an ``array('Q')``.
-
-        Bulk columnar read: one permission check for the whole span,
-        then per-page word-view slice copies.  Requires an 8-aligned
-        address on the fast path; unaligned spans fall back to
-        :meth:`read`.
-        """
-        size = count << 3
-        if address & 7 or address < 0 or count <= 0:
-            return array("Q", self.read(address, size))
-        self._check(address, size, PROT_READ, "read")
-        out = array("Q", bytes(size))
-        view = memoryview(out)
-        frame_words = self._frame_words
-        position = 0
-        cursor = address
-        remaining = count
-        while remaining > 0:
-            pno = cursor >> _PAGE_SHIFT
-            woff = (cursor & _PAGE_MASK) >> 3
-            chunk = min(_PAGE_WORDS - woff, remaining)
-            words = frame_words.get(pno)
-            if words is not None:
-                view[position:position + chunk] = words[woff:woff + chunk]
-            # else: the fresh array is already zero-filled.
-            position += chunk
-            cursor += chunk << 3
-            remaining -= chunk
-        return out
+        """Read ``count`` consecutive 64-bit words as an ``array('Q')``."""
+        return array("Q", self.read(address, count << 3))
 
     def write_words(self, address: int,
                     values: Union["array[int]", Sequence[int]]) -> None:
-        """Write consecutive 64-bit words (each masked to 64 bits).
-
-        Bulk columnar write: one permission check, then per-page
-        word-view slice assignments.  ``values`` may be an ``array('Q')``
-        (zero-conversion) or any sequence of ints.
-        """
-        if isinstance(values, array) and values.typecode == "Q":
-            buf = values
-        else:
-            buf = array("Q", [value & _WORD_MASK for value in values])
-        count = len(buf)
-        if count == 0:
-            return
-        if address & 7 or address < 0:
-            self.write(address, buf.tobytes())
-            return
-        self._check(address, count << 3, PROT_WRITE, "write")
-        view = memoryview(buf)
-        frame_words = self._frame_words
-        position = 0
-        cursor = address
-        remaining = count
-        while remaining > 0:
-            pno = cursor >> _PAGE_SHIFT
-            woff = (cursor & _PAGE_MASK) >> 3
-            chunk = min(_PAGE_WORDS - woff, remaining)
-            words = frame_words.get(pno)
-            if words is None:
-                self._materialize(pno)
-                words = frame_words[pno]
-            words[woff:woff + chunk] = view[position:position + chunk]
-            position += chunk
-            cursor += chunk << 3
-            remaining -= chunk
+        """Write consecutive 64-bit words (each masked to 64 bits)."""
+        self.write(address,
+                   array("Q", [v & _WORD_MASK for v in values]).tobytes())
 
     def write_word_scatter(self, addresses: Sequence[int],
                            values: Sequence[int]) -> None:
@@ -650,24 +538,21 @@ class VirtualMemory:
         Unaligned or faulting items funnel through :meth:`write_word`,
         so faulting behavior is identical item-for-item.
         """
-        protections = self._protections
-        frame_words = self._frame_words
         cached_pno = -1
-        cached_words: Optional["array[int]"] = None
+        cached_words: Optional[memoryview] = None
         for address, value in zip(addresses, values):
             if address & 7 or address < 0:
                 self.write_word(address, value)
                 continue
             pno = address >> _PAGE_SHIFT
             if pno != cached_pno:
-                prot = protections.get(pno, -1)
-                if prot < 0 or not prot & PROT_WRITE:
+                if not self._tlb_fill(pno, PROT_WRITE):
                     self.write_word(address, value)  # faults like per-op
                     continue
-                words = frame_words.get(pno)
+                words = self._tlb_words
                 if words is None:
                     self._materialize(pno)
-                    words = frame_words[pno]
+                    words = self._tlb_words
                 cached_pno = pno
                 cached_words = words
             assert cached_words is not None
@@ -679,10 +564,8 @@ class VirtualMemory:
         Scattered batch read (the free path's metadata loads), page
         lookup cached across items as in :meth:`write_word_scatter`.
         """
-        protections = self._protections
-        frame_words = self._frame_words
         cached_pno = -1
-        cached_words: Optional["array[int]"] = None
+        cached_words: Optional[memoryview] = None
         out: List[int] = []
         append = out.append
         for address in addresses:
@@ -691,11 +574,10 @@ class VirtualMemory:
                 continue
             pno = address >> _PAGE_SHIFT
             if pno != cached_pno:
-                prot = protections.get(pno, -1)
-                if prot < 0 or not prot & PROT_READ:
+                if not self._tlb_fill(pno, PROT_READ):
                     append(self.read_word(address))  # faults like per-op
                     continue
-                words = frame_words.get(pno)
+                words = self._tlb_words
                 if words is None:
                     append(0)  # unmaterialized pages read as zero
                     continue
@@ -762,13 +644,6 @@ class VirtualMemory:
             self._tlb_frame = frame
             self._tlb_words = words
         return frame
-
-    def _discard_frame(self, pno: int) -> None:
-        """Drop a resident page and return its slot to the store (which
-        owns the slot's views and hands the same ones out again)."""
-        del self._frames[pno]
-        del self._frame_words[pno]
-        self._store.free(self._frame_slots.pop(pno))
 
     def _copy_out(self, address: int, size: int) -> bytes:
         if size <= 0:
@@ -850,9 +725,7 @@ class VirtualMemory:
             words[pno] = image.cast("Q")
         self._store.free_many(self._frame_slots.values())
         self._frame_slots.clear()
-        self._tlb_page = -1
-        self._tlb_frame = None
-        self._tlb_words = None
+        self._forget()
 
     def fork(self, page_store: Optional[PageStore] = None
              ) -> "VirtualMemory":
@@ -893,10 +766,7 @@ class VirtualMemory:
         self._frames.clear()
         self._frame_words.clear()
         self._frame_slots.clear()
-        self._tlb_page = -1
-        self._tlb_frame = None
-        self._tlb_words = None
-        self._read_span = (-1, -1)
+        self._forget()
         if self._owns_store:
             self._store.close()
 

@@ -33,12 +33,14 @@ Fault isolation: a batch is split into *rounds* around attack tokens
 (:func:`~repro.serving.services.split_rounds`).  A started session
 serves its first round against the started state
 (:meth:`~repro.program.program.Program.serve_round`) and leaves the
-entry function; every later round is one ``serve_main`` run with its
-own startup.  A guard-page fault in an attack round unwinds that round
-(frames and encoding state rebalance through the call protocol's
-``finally`` blocks) and is recorded as a ``blocked`` outcome — the
-session keeps serving the remaining rounds, mirroring a supervised
-worker process being restarted after a crash-stopped exploit.
+entry function; every later round starts the session again first
+(:meth:`ServingSession.start`).  A fault during a round's startup or
+service leaves the entry function too.  A guard-page fault in an
+attack round unwinds that round (frames and encoding state rebalance
+through the call protocol's ``finally`` blocks) and is recorded as a
+``blocked`` outcome — the session keeps serving the remaining
+rounds, mirroring a supervised worker process being restarted after a
+crash-stopped exploit.
 """
 
 from __future__ import annotations
@@ -112,18 +114,6 @@ class BatchResult:
     wall: float = 0.0
 
 
-class _ServeEntry:
-    """Adapter giving ``Process.run`` a ``main`` for ``serve_main``."""
-
-    __slots__ = ("_serve",)
-
-    def __init__(self, serve: Any) -> None:
-        self._serve = serve
-
-    def main(self, process: Process, requests: List[Any]) -> Dict[str, Any]:
-        return self._serve(process, requests)
-
-
 class ServingSession:
     """One worker's state for serving one batch.
 
@@ -140,7 +130,6 @@ class ServingSession:
                  page_store: Optional[PageStore] = None,
                  image: Optional["ServingSession"] = None) -> None:
         self.program = program
-        self._entry = _ServeEntry(program.serve_main)
         if image is not None:
             self._fork(image, page_store)
             return
@@ -219,7 +208,7 @@ class ServingSession:
         )
 
     def _serve_started(self, requests: List[Any]) -> Dict[str, Any]:
-        """The first round of a started session; leaves the entry
+        """Serve one round against the started state; leaves the entry
         function after it."""
         self.started = False
         process = self.process
@@ -232,16 +221,15 @@ class ServingSession:
                      ) -> Tuple[List[Tuple[str, int]], int, int]:
         """Serve every round; returns (outcomes, served, bytes_sent).
         A started session serves its first round against its started
-        state; every other round runs with its own startup."""
+        state; every other round starts the session again first."""
         outcomes: List[Tuple[str, int]] = []
         served = 0
         bytes_sent = 0
         for round_requests in rounds:
             try:
-                if self.started:
-                    result = self._serve_started(round_requests)
-                else:
-                    result = self.process.run(self._entry, round_requests)
+                if not self.started:
+                    self.start()
+                result = self._serve_started(round_requests)
             except SegmentationFault:
                 # Guard page stopped the exploited request; the round is
                 # a singleton by construction (split_rounds), so exactly

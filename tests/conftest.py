@@ -24,6 +24,14 @@ if settings is not None:
         max_examples=200,
         suppress_health_check=[HealthCheck.too_slow],
     )
+    # ``nightly``: a fresh random search on every run, ten times the
+    # ``ci`` budget, for the scheduled differential campaign.
+    settings.register_profile(
+        "nightly",
+        deadline=None,
+        max_examples=2000,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     # ``dev``: fast feedback for local edit-test loops.
     settings.register_profile("dev", max_examples=25, deadline=None)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))

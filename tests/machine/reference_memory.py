@@ -158,6 +158,15 @@ class ReferenceMemory:
     def protection_of(self, address: int) -> Optional[int]:
         return self._protections.get(address // PAGE_SIZE)
 
+    def is_accessible(self, address: int, size: int = 1,
+                      write: bool = False) -> bool:
+        needed = PROT_RW if write else PROT_READ
+        if size <= 0 or address < 0:
+            return False
+        return all(
+            (self._protections.get(pno, 0) & needed) == needed
+            for pno in _pages(address, size))
+
     # -- unchecked byte transfer ---------------------------------------
 
     def _spans(self, address: int,

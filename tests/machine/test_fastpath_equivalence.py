@@ -9,6 +9,7 @@ on ``ReferenceMemory``, and a Hypothesis differential over random op
 sequences.
 """
 
+import copy
 from array import array
 
 import pytest
@@ -122,6 +123,17 @@ class TestTlbInvalidation:
         mem.sbrk(-PAGE_SIZE)
         with pytest.raises(SegmentationFault):
             mem.read(base, 4)
+
+    def test_freeze_invalidates(self):
+        """A page cached before ``freeze`` gave its frame back to the
+        store; a write to the image must fail, not land in that frame."""
+        image = VirtualMemory()
+        a = image.mmap(PAGE_SIZE, prot=PROT_RW)
+        image.write_word(a, 1)
+        image.freeze()
+        with pytest.raises(TypeError):
+            image.write_word(a, 2)
+        assert image.read_word(a) == 1
 
     def test_materialize_refreshes_cached_frame(self):
         """Reading a zero page caches frame=None; a subsequent write
@@ -372,6 +384,10 @@ _ops = st.one_of(
     _op("write_word_scatter", st.lists(_addresses, max_size=4),
         st.lists(_words, max_size=4)),
     _op("read_word_gather", st.lists(_addresses, max_size=4)),
+    _op("is_mapped", _addresses, _sizes),
+    _op("is_accessible", _addresses, _sizes, st.booleans()),
+    _op("protection_of", _addresses),
+    _op("fork"),
 )
 
 
@@ -397,19 +413,63 @@ def _state(memory):
     }
 
 
+#: Sequences that keep returning to one page of the setup, with
+#: revocations in between: the shape that exposes a stale translation.
+_setup_pages = st.sampled_from(
+    [MMAP_BASE + i * PAGE_SIZE for i in range(_MMAP_PAGES)]
+    + [HEAP_BASE + i * PAGE_SIZE for i in range(_HEAP_PAGES)])
+
+
+def _revisits(page):
+    at = st.builds(lambda offset: page + offset, _offsets)
+    word = st.builds(lambda offset: page + (offset & ~7), _offsets)
+    return st.lists(st.one_of(
+        _op("read", at, _sizes),
+        _op("write", at, _data),
+        _op("fill", at, _sizes, st.integers(0, 255)),
+        _op("check_read", at, _sizes),
+        _op("read_word", word),
+        _op("write_word", word, _words),
+        _op("read_word_pair", word),
+        _op("write_word_pair", word, _words, _words),
+        _op("write_word_scatter", st.lists(word, max_size=3),
+            st.lists(_words, max_size=3)),
+        _op("read_word_gather", st.lists(word, max_size=3)),
+        _op("mprotect", st.just(page), st.just(PAGE_SIZE), _prots),
+        _op("munmap", st.just(page), st.just(PAGE_SIZE)),
+        _op("mmap", st.just(PAGE_SIZE), _prots, st.just(page)),
+        _op("sbrk", st.sampled_from((-PAGE_SIZE, PAGE_SIZE))),
+        _op("fork"),
+    ), max_size=20)
+
+
+def _run_both(ops):
+    """Run ``ops`` on both address spaces, comparing after every step."""
+    fast, reference = _pair()
+    _setup(fast)
+    _setup(reference)
+    for step, (name, *args) in enumerate(ops):
+        if name == "fork":
+            fast.freeze()
+            fast = fast.fork()
+            reference = copy.deepcopy(reference)
+        else:
+            expected = _outcome(reference, name, args)
+            assert _outcome(fast, name, args) == expected, (step, name)
+        assert _state(fast) == _state(reference), (step, name)
+    for start, length, _ in reference.iter_mappings():
+        assert fast.peek(start, length) == reference.peek(start, length)
+
+
 class TestDifferential:
     """Random op sequences leave both address spaces indistinguishable
-    after every step."""
+    after every step.  A ``fork`` step freezes the production memory and
+    continues on its fork (the reference continues on a deep copy)."""
 
     @given(st.lists(_ops, max_size=30))
     def test_random_op_sequences_agree(self, ops):
-        fast, reference = _pair()
-        _setup(fast)
-        _setup(reference)
-        for step, (name, *args) in enumerate(ops):
-            expected = _outcome(reference, name, args)
-            assert _outcome(fast, name, args) == expected, (step, name)
-            assert _state(fast) == _state(reference), (step, name)
-        for start, length, _ in reference.iter_mappings():
-            assert fast.peek(start, length) == reference.peek(start,
-                                                              length)
+        _run_both(ops)
+
+    @given(_setup_pages.flatmap(_revisits))
+    def test_revisited_page_sequences_agree(self, ops):
+        _run_both(ops)

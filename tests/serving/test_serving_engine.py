@@ -17,6 +17,8 @@ from repro.ccencoding import Strategy
 from repro.core.instrument import instrument
 from repro.parallel.fanout import resolve_jobs, usable_cpus
 from repro.patch import config as patch_config
+from repro.program.callgraph import CallGraph
+from repro.program.program import Program
 from repro.serving.engine import (
     ServingEngine,
     ServingError,
@@ -25,6 +27,7 @@ from repro.serving.engine import (
     serve,
 )
 from repro.serving.services import nginx_body_patch, serving_registry
+from repro.serving.session import ServingSession
 from repro.workloads.vulnerable.heartbleed import HeartbleedService
 from repro.workloads.services.nginx import (DOCUMENT_TREE, LEAK_BODY_SIZE,
                                             LEAK_EXTRA, NginxServer)
@@ -290,3 +293,52 @@ class TestCpuAffinity:
         assert report.pop("workers") == 4
         oracle.report.pop("workers")
         assert report == oracle.report
+
+
+class _StartupFaults(Program):
+    """A service whose second serving startup faults on an unmapped
+    load; every round it serves marks each request ``ok``."""
+
+    name = "startup-faults"
+
+    def __init__(self):
+        super().__init__()
+        self.startups = 0
+
+    def build_graph(self):
+        graph = CallGraph()
+        graph.add_call_site("main", "malloc", "buf")
+        return graph
+
+    def main(self, p):
+        return 0
+
+    def serve_startup(self, p):
+        self.startups += 1
+        if self.startups == 2:
+            p.read(0, 8)
+        return None
+
+    def serve_round(self, p, started, requests):
+        return {"outcomes": [("ok", 1)] * len(requests),
+                "served": len(requests), "bytes_sent": len(requests)}
+
+
+class TestRoundStartup:
+    def test_startup_fault_blocks_its_round_and_leaves_main(self):
+        """Every round after the first starts the session again; a fault
+        in that startup is the round's ``blocked`` outcome, leaves the
+        entry function, and the next round starts afresh."""
+        program = _StartupFaults()
+        codec = instrument(program,
+                           strategy=Strategy.from_name("incremental")).codec
+        session = ServingSession(program, codec, defended=False)
+        session.start()
+        outcomes, served, bytes_sent = session.serve_rounds(
+            [["a", "b"], ["c"], ["d"]])
+        assert outcomes == [("ok", 1), ("ok", 1), ("blocked", 0), ("ok", 1)]
+        assert (served, bytes_sent) == (4, 3)
+        assert program.startups == 3
+        assert session.process.depth == 0
+        assert not session.started
+        assert session.memory.fault_count == 1

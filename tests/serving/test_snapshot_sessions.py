@@ -4,7 +4,7 @@ A serving worker runs the service's startup once per table version,
 freezes the started session as that version's image, and serves every
 batch from a fork of it (:meth:`_WorkerServeState.serve_batch`).  The
 oracle is a fresh session that serves every round of the batch with its
-own startup, through ``Process.run`` of ``serve_main``.  Both must
+own startup (``ServingSession.start`` before each round).  Both must
 return the same :class:`BatchResult` (``wall`` aside) and leave every
 layer in the same state: memory contents and protections, fault and
 residency counters, allocator and interposer stats, the quarantine and
