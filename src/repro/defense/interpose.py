@@ -41,7 +41,7 @@ from ..machine.layout import PAGE_SHIFT, PAGE_SIZE, SIZE_MAX, is_power_of_two
 from ..machine.memory import PROT_NONE, PROT_RW, VirtualMemory
 from ..patch.model import HeapPatch
 from ..program.context import ContextSource, NullContextSource
-from ..program.cost import CycleMeter
+from ..program.cost import DEFAULT_COST_MODEL, ChargeRecord, CycleMeter
 from ..vulntypes import VulnType
 from .metadata import (
     _ALIGN_MASK,
@@ -161,6 +161,15 @@ class DefendedAllocator(Allocator):
         self._read_word = self.memory.read_word
         self._record_malloc = self.stats.record_malloc
         self._record_free = self.stats.record_free
+        #: What one interposed allocation and one interposed free
+        #: charge, counted as one record each.
+        self._count = meter.count if meter is not None else None
+        model = meter.model if meter is not None else DEFAULT_COST_MODEL
+        self._alloc_charges = ChargeRecord(
+            ("interpose", model.interpose), ("metadata", model.metadata),
+            ("lookup", model.hash_lookup))
+        self._free_charges = ChargeRecord(("interpose", model.interpose),
+                                          ("metadata", model.metadata))
         #: Buffers currently enhanced, by defense kind (for reports).
         self.enhanced_counts = {
             VulnType.OVERFLOW: 0,
@@ -182,10 +191,8 @@ class DefendedAllocator(Allocator):
         self._charge("defense", self.meter.model.mprotect if self.meter else 0)
 
     def _charge_interposition(self, calls: int = 1) -> None:
-        if self.meter is not None:
-            model = self.meter.model
-            self.meter.charge("interpose", model.interpose * calls)
-            self.meter.charge("metadata", model.metadata * calls)
+        if self._count is not None:
+            self._count(self._free_charges, calls)
 
     # ------------------------------------------------------------------
     # Allocation family
@@ -199,12 +206,9 @@ class DefendedAllocator(Allocator):
         # plus the metadata-word stamp — ``_allocate_run`` of one,
         # without building its lists.
         if self._fused_malloc and size >= 0:
-            meter = self.meter
-            if meter is not None:
-                model = meter.model
-                meter.charge("interpose", model.interpose)
-                meter.charge("metadata", model.metadata)
-                meter.charge("lookup", model.hash_lookup)
+            count = self._count
+            if count is not None:
+                count(self._alloc_charges)
             raw = self._underlying_malloc(METADATA_SIZE + size)
             self._write_word(raw, size << _SIZE_SHIFT)
             self._record_malloc(size)
@@ -215,8 +219,8 @@ class DefendedAllocator(Allocator):
         """Batched ``malloc``: one same-call-site run of requests.
 
         Observation-identical to calling :meth:`malloc` per entry — same
-        addresses, same stats, same cycles per category (``n`` per-call
-        charges collapse into one ``n``-scaled charge) — because a run
+        addresses, same stats, same cycles per category (the ``n`` per-call
+        records are counted ``n`` times at once) — because a run
         comes from a *single* call site: the CCID is the same for every
         entry, so the patch probe is hoisted out of the loop.
         """
@@ -284,10 +288,7 @@ class DefendedAllocator(Allocator):
         n = len(sizes)
         meter = self.meter
         if meter is not None:
-            model = meter.model
-            meter.charge("interpose", model.interpose * n)
-            meter.charge("metadata", model.metadata * n)
-            meter.charge("lookup", model.hash_lookup * n)
+            meter.count(self._alloc_charges, n)
         patches = self._patches_for(fun)
         if patches or not self._pure_ccid:
             patch = patches.get(self._current_ccid())
@@ -381,8 +382,9 @@ class DefendedAllocator(Allocator):
     # ------------------------------------------------------------------
 
     def free(self, address: int) -> None:
-        if self.meter is not None:
-            self._charge_interposition()
+        count = self._count
+        if count is not None:
+            count(self._free_charges)
         if address == 0:
             return
         word = self._read_word(address - METADATA_SIZE)

@@ -25,12 +25,35 @@ the same stacked breakdown:
 * ``lookup``    — patch hash-table lookups.
 * ``defense``   — enforcement on patched buffers (guard pages, zeroing,
   deferred free).
+
+Charge records.  The hottest operations make the same few charges every
+time: a bound guest call charges ``base`` and ``encoding``, a Structure 1
+``malloc`` charges ``interpose``, ``metadata`` and ``lookup``.  Such an
+operation describes its charges once, as a :class:`ChargeRecord` (a
+fixed tuple of ``(category, cycles)`` pairs), and each time it runs it
+*counts* the record: one dict update instead of one update per pair.
+Every read of the meter (:attr:`CycleMeter.by_category`, ``total``,
+``category()``, ``snapshot()``, ``fork()``) first folds the pending
+counts into the totals as count x cycles per pair.
+
+That is exact.  Integer addition is associative and commutative, so
+when every cycle count is an ``int`` the order in which a category's
+additions happen cannot change its total, and count x cycles equals the
+sum of ``count`` additions of ``cycles``.  The key order of the totals
+(which reports emit) is first-charge order: counting a record for the
+first time puts each of its categories in place, as charging it would.
+Fractional cycles (``zero_fill_per_byte``) are another matter: float
+addition is not associative.  So a record is only counted when all of
+its cycles are ``int``, and the first non-``int`` charge folds whatever
+is pending and switches the meter to charging every record pair by pair
+from then on, so every category sees its additions in the order a
+sequential meter would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -74,22 +97,99 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass
+class ChargeRecord:
+    """A fixed set of charges that one operation makes together.
+
+    ``pairs`` is a tuple of ``(category, cycles)`` pairs, in the order
+    the operation would charge them one by one.  A record is hashed and
+    compared by identity: meters keep their pending counts keyed by the
+    record object, which hashes faster than its tuple would.
+    """
+
+    __slots__ = ("pairs", "exact")
+
+    def __init__(self, *pairs: Tuple[str, float]) -> None:
+        self.pairs: Tuple[Tuple[str, float], ...] = pairs
+        #: True when every cycle count is an ``int``, so counting the
+        #: record and folding it later adds exactly what charging it
+        #: pair by pair would.
+        self.exact = all(type(cycles) is int for _, cycles in pairs)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
+        return f"ChargeRecord{self.pairs!r}"
+
+
 class CycleMeter:
     """Accumulates cycles by category.
 
     One meter is shared between a :class:`~repro.program.process.Process`
     and any defense layer wrapped around its allocator, so the full
     overhead decomposition lands in one place.
+
+    :meth:`charge` adds cycles to one category; :meth:`count` counts a
+    :class:`ChargeRecord` and leaves its cycles pending, to be folded
+    into the totals (count x cycles per pair) when they are read.  See
+    the module docstring for why that is exact.
     """
 
-    model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
-    by_category: Dict[str, int] = field(default_factory=dict)
+    def __init__(self, model: Optional[CostModel] = None,
+                 by_category: Optional[Dict[str, float]] = None) -> None:
+        self.model = model if model is not None else DEFAULT_COST_MODEL
+        #: Folded totals, keyed in first-charge order.
+        self._totals: Dict[str, float] = (
+            by_category if by_category is not None else {})
+        #: Record -> times counted since the last fold.
+        self._counts: Dict[ChargeRecord, int] = {}
+        #: False once a non-``int`` charge was made: records are then
+        #: charged pair by pair, in sequence with every other charge.
+        self._exact = all(type(cycles) is int
+                          for cycles in self._totals.values())
 
     def charge(self, category: str, cycles: float) -> None:
         """Add ``cycles`` to ``category`` (fractions accumulate exactly)."""
-        self.by_category[category] = (
-            self.by_category.get(category, 0) + cycles)
+        if type(cycles) is not int and self._exact:
+            self._fold()
+            self._exact = False
+        totals = self._totals
+        totals[category] = totals.get(category, 0) + cycles
+
+    def count(self, record: ChargeRecord, times: int = 1) -> None:
+        """Charge every pair of ``record`` ``times`` times over.
+
+        Adds to the totals exactly what ``charge(category, cycles *
+        times)`` per pair, in order, would: each category the record
+        touches takes its place in the totals now, and the cycles are
+        folded in when the totals are next read.
+        """
+        counts = self._counts
+        pending = counts.get(record)
+        if pending is not None:
+            counts[record] = pending + times
+        elif self._exact and record.exact:
+            setdefault = self._totals.setdefault
+            for category, _ in record.pairs:
+                setdefault(category, 0)
+            counts[record] = times
+        else:
+            charge = self.charge
+            for category, cycles in record.pairs:
+                charge(category, cycles * times)
+
+    def _fold(self) -> None:
+        """Add the pending counts into the totals."""
+        counts = self._counts
+        if counts:
+            totals = self._totals
+            for record, times in counts.items():
+                for category, cycles in record.pairs:
+                    totals[category] += cycles * times
+            counts.clear()
+
+    @property
+    def by_category(self) -> Dict[str, float]:
+        """The per-category totals (the meter's own dict)."""
+        self._fold()
+        return self._totals
 
     @property
     def total(self) -> float:
@@ -106,9 +206,24 @@ class CycleMeter:
 
     def reset(self) -> None:
         """Zero every category."""
-        self.by_category.clear()
+        self._totals.clear()
+        self._counts.clear()
+        self._exact = True
 
     def fork(self) -> "CycleMeter":
         """A meter holding a copy of these totals (same model); charges
         to either no longer reach the other."""
-        return CycleMeter(self.model, dict(self.by_category))
+        return CycleMeter(self.model, self.snapshot())
+
+    def __eq__(self, other: object) -> bool:
+        if (not isinstance(other, CycleMeter)
+                or other.__class__ is not self.__class__):
+            return NotImplemented
+        return (self.model, self.by_category) == (other.model,
+                                                   other.by_category)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"CycleMeter(model={self.model!r}, "
+                f"by_category={self.by_category!r})")

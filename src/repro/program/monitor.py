@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 from ..allocator.base import Allocator
 from ..machine.memory import VirtualMemory
 from .blocks import BasicBlock
-from .cost import CycleMeter
+from .cost import ChargeRecord, CycleMeter
 from .values import TaggedValue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -186,7 +186,9 @@ class DirectMonitor(ExecutionMonitor):
         # is shared for the process lifetime): one attribute walk at
         # construction instead of several per guest memory operation.
         self._charge = meter.charge
-        self._heap_op = meter.model.heap_op
+        self._count = meter.count
+        #: The allocator's baseline work on one heap call.
+        self._heap_charges = ChargeRecord(("base", meter.model.heap_op))
         self._mem_cost = meter.model.mem_cost
         self._mem_read = memory.read
         self._mem_write = memory.write
@@ -194,7 +196,7 @@ class DirectMonitor(ExecutionMonitor):
         self._heap_methods: dict = {}
 
     def heap_alloc(self, fun: str, *args: int) -> int:
-        self._charge("base", self._heap_op)
+        self._count(self._heap_charges)
         method = self._heap_methods.get(fun)
         if method is None:
             method = getattr(self.heap, fun)
@@ -202,26 +204,54 @@ class DirectMonitor(ExecutionMonitor):
         return method(*args)
 
     def heap_free(self, address: int) -> None:
-        self._charge("base", self._heap_op)
+        self._count(self._heap_charges)
         self.heap.free(address)
 
+    # A run charges ``base`` for the entries the per-call loop would
+    # have reached: all of them, or those up to and including the one
+    # that raised.  The heap's counters say how far a failed run got:
+    # each allocation it made records one call, as does each free of a
+    # non-null pointer (but for a double free that the defended
+    # allocator's quarantine absorbs, which records none).  Counting the
+    # record zero times first gives ``base`` its place in the totals
+    # before the heap charges its own.
+
     def heap_alloc_run(self, fun: str, sizes: Sequence[int]) -> List[int]:
+        if fun != "malloc":
+            return super().heap_alloc_run(fun, sizes)
         if not sizes:
             return []
-        self._charge("base", self._heap_op * len(sizes))
-        if fun == "malloc":
-            return self.heap.malloc_run(sizes)
-        method = self._heap_methods.get(fun)
-        if method is None:
-            method = getattr(self.heap, fun)
-            self._heap_methods[fun] = method
-        return [method(size) for size in sizes]
+        count, charges = self._count, self._heap_charges
+        count(charges, 0)
+        heap = self.heap
+        made = heap.stats.malloc_calls
+        try:
+            addresses = heap.malloc_run(sizes)
+        except BaseException:
+            count(charges, heap.stats.malloc_calls - made + 1)
+            raise
+        count(charges, len(sizes))
+        return addresses
 
     def heap_free_run(self, addresses: Sequence[int]) -> None:
         if not addresses:
             return
-        self._charge("base", self._heap_op * len(addresses))
-        self.heap.free_run(addresses)
+        count, charges = self._count, self._heap_charges
+        count(charges, 0)
+        heap = self.heap
+        freed = heap.stats.free_calls
+        try:
+            heap.free_run(addresses)
+        except BaseException:
+            freed = heap.stats.free_calls - freed
+            for reached, address in enumerate(addresses):
+                if address:
+                    if not freed:
+                        break
+                    freed -= 1
+            count(charges, reached + 1)
+            raise
+        count(charges, len(addresses))
 
     def compute(self, cycles: int) -> None:
         self._charge("base", cycles)

@@ -23,9 +23,11 @@ graph is frozen, which carries what every later crossing does.  For a
 runtime, or no tracking) that is the codec's step for the site and the
 summed ``base`` and ``encoding`` cycles, and the process applies the
 crossing itself: an uninstrumented site sets ``V`` to the frame's ``t``,
-an instrumented one folds in one step, and each cost category is charged
-once per call.  Other sources, and every process under the lock-step
-scheduler, are driven through the source's hooks instead — the protocol
+an instrumented one folds in one step, and the call counts one
+:class:`~repro.program.cost.ChargeRecord` of both categories on the
+meter (the encoding goes apart when the source charges another meter).
+Other sources, and every process under the lock-step scheduler, are
+driven through the source's hooks instead — the protocol
 the bound path is tested against (``tests/program/test_bound_sites.py``).
 """
 
@@ -39,7 +41,7 @@ from ..allocator.base import Allocator
 from .blocks import BasicBlock
 from .callgraph import CallGraph, CallSite
 from .context import ContextSource, NullContextSource, RegisterContextSource
-from .cost import CycleMeter
+from .cost import ChargeRecord, CycleMeter
 from .monitor import DirectMonitor, ExecutionMonitor
 from .values import TaggedValue
 
@@ -88,18 +90,27 @@ class BoundSite:
     ``base`` is the call's own cycles (0 for a heap call, which the
     monitor charges) and ``encoding`` the site update plus, for a guest
     call, the callee's prologue — 0 when the source charges no cycles.
+    A guest call's bound crossing counts ``charges``, one record of its
+    ``base`` and, when the source charges the process's own meter, its
+    ``encoding`` cycles; ``apart`` is the encoding it charges to the
+    source's other meter instead (0 when there is none).
     """
 
-    __slots__ = ("site", "mix", "step", "base", "encoding")
+    __slots__ = ("site", "mix", "step", "base", "encoding", "charges",
+                 "apart")
 
     def __init__(self, site: CallSite,
                  mix: Optional[Callable[[int, Any], int]], step: Any,
-                 base: float, encoding: float) -> None:
+                 base: float, encoding: float,
+                 charges: Optional[ChargeRecord] = None,
+                 apart: float = 0) -> None:
         self.site = site
         self.mix = mix
         self.step = step
         self.base = base
         self.encoding = encoding
+        self.charges = charges
+        self.apart = apart
 
 
 class ProcessError(RuntimeError):
@@ -180,6 +191,10 @@ class Process:
         #: once per allocation, so batched runs replay per call.
         self._pure_ccid = source.pure_ccid
         self._charge = self.meter.charge
+        self._count = self.meter.count
+        #: True when the source charges encoding to this process's
+        #: meter, so a bound call counts one record for both categories.
+        self._joint = encoding_meter is self.meter
         #: (caller, callee, label) -> BoundSite, for guest calls and for
         #: heap calls; populated only while the graph is frozen (site
         #: ids are stable then).
@@ -270,8 +285,9 @@ class Process:
         twin = Process(self.graph, monitor=monitor,
                        context_source=context_source, meter=meter,
                        record_allocations=self.record_allocations)
-        twin._calls = self._calls
-        twin._heap_calls = self._heap_calls
+        if twin._joint == self._joint:
+            twin._calls = self._calls
+            twin._heap_calls = self._heap_calls
         twin._stack = list(self._stack)
         twin._hooked = self._hooked
         twin.last_alloc_site = self.last_alloc_site
@@ -287,11 +303,18 @@ class Process:
         which costs a call and runs the callee's prologue."""
         call_site = self.graph.site(caller, callee, label)
         mix, step, encoding = self._register.bind_site(call_site)
-        base = 0
-        if enters:
+        if not enters:
+            record = BoundSite(call_site, mix, step, 0, encoding)
+        else:
             base = self.meter.model.call
             encoding += self._register.prologue_cycles(callee)
-        record = BoundSite(call_site, mix, step, base, encoding)
+            if self._joint and encoding:
+                charges = ChargeRecord(("base", base), ("encoding", encoding))
+                apart = 0
+            else:
+                charges, apart = ChargeRecord(("base", base)), encoding
+            record = BoundSite(call_site, mix, step, base, encoding,
+                               charges, apart)
         if self.graph.frozen:
             bound[(caller, callee, label)] = record
         return record
@@ -312,8 +335,8 @@ class Process:
         if record is None:
             record = self._bind(self._calls, frame.function, callee, site,
                                 True)
-        self._charge("base", record.base)
         if self._hooked:
+            self._charge("base", record.base)
             self._at_call_site(record.site)
             stack.append(Frame(callee, record.site))
             self._enter_function(callee)
@@ -322,6 +345,7 @@ class Process:
             finally:
                 self._exit_function(callee)
                 stack.pop()
+        self._count(record.charges)
         register = self._register
         register.sites_crossed += 1
         t = frame.t
@@ -331,8 +355,8 @@ class Process:
         else:
             value = mix(t, record.step)
             register.updates_executed += 1
-        if record.encoding:
-            self._charge_encoding("encoding", record.encoding)
+        if record.apart:
+            self._charge_encoding("encoding", record.apart)
         register.value = value
         stack.append(Frame(callee, record.site, value))
         try:

@@ -86,8 +86,3 @@ class Program(abc.ABC):
         (one ``(status, bytes)`` per request), ``served`` and
         ``bytes_sent``."""
         raise NotImplementedError(f"{self.name} has no serving round")
-
-    def serve_main(self, p: Process, requests: List[Any]) -> Dict[str, Any]:
-        """One serving round with its own startup: the entry function's
-        body for a round run by :meth:`Process.run`."""
-        return self.serve_round(p, self.serve_startup(p), requests)

@@ -2,7 +2,7 @@
 
 A :class:`ServedService` binds a service program to the three hooks the
 engine drives: a deterministic request stream, the batched entry point
-(``serve_main``), and the attack token that marks a request as a planted
+(``serve_startup``, then ``serve_round`` per round), and the attack token that marks a request as a planted
 exploit (rounds split around it, because an exploited request may fault
 mid-flight).
 """
@@ -59,7 +59,7 @@ def split_rounds(requests: List[Any],
                  attack_token: Optional[Any]) -> List[List[Any]]:
     """Split a batch into rounds, isolating each attack request.
 
-    A round is one ``serve_main`` run.  Benign requests group into
+    A round is one ``serve_round`` call.  Benign requests group into
     maximal runs; every attack token becomes a singleton round so a
     guard-page fault aborts only the exploited request, never its batch
     neighbours.
@@ -102,7 +102,7 @@ def nginx_body_patch(program: Program, codec: Codec) -> HeapPatch:
     malloc(body_buf)`` — under the deployed codec and returns the
     ``{malloc, CCID, OVERFLOW}`` patch a diagnosis of the leak would
     emit.  Used by tests and the swap demonstration.  The CCID is the
-    same for ``main`` and ``serve_main``: both allocate the body in the
+    same for ``main`` and ``serve_round``: both allocate the body in the
     one ``send_response`` stage of ``NginxServer._stages``.
     """
     graph = program.graph

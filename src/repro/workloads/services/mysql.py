@@ -65,7 +65,7 @@ def _query_block() -> BasicBlock:
 
 
 #: The point-query body (arg 0 = the borrowed pool page): the one
-#: definition ``main``'s per-query frames and ``serve_main``'s fused
+#: definition ``main``'s per-query frames and ``serve_round``'s fused
 #: runs both execute.
 QUERY_BLOCK = _query_block()
 

@@ -90,7 +90,8 @@ class _ServeMain:
         self.graph = server.graph
 
     def main(self, p, requests):
-        return self.server.serve_main(p, requests)
+        server = self.server
+        return server.serve_round(p, server.serve_startup(p), requests)
 
 
 class TestBlockGuestReplay:

@@ -2,8 +2,8 @@
 
 A :class:`~repro.program.context.RegisterContextSource` (the encoding
 runtime, the null source) is driven from per-process bound call sites:
-the process folds the codec's step, restores ``V`` on return and charges
-each cost category once per call.  The oracle is the same runtime behind
+the process folds the codec's step, restores ``V`` on return and counts
+one charge record per call.  The oracle is the same runtime behind
 a :class:`~repro.program.coverage.CoverageTracker`, which is not a
 register source and so takes the hook path — the runtime's
 ``at_call_site`` / ``enter_function`` / ``exit_function``, step by step.
@@ -365,3 +365,33 @@ def test_frozen_graph_sites_bind_once():
     process.run(system.program)
     process.run(system.program)
     assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("joint_first", [True, False],
+                         ids=["joint-then-split", "split-then-joint"])
+def test_fork_between_joint_and_split_encoding_meters(joint_first):
+    """A bound call counts ``base`` and ``encoding`` as one record only
+    when the runtime charges the process's own meter; a fork onto the
+    other arrangement binds its sites afresh and charges as a process
+    built that way would."""
+    system = _fanout()
+    graph = system.program.graph
+
+    def layers(joint):
+        meter = CycleMeter()
+        runtime = system.runtime(meter if joint else CycleMeter())
+        heap = LibcAllocator()
+        return DirectMonitor(heap.memory, heap, meter), runtime, meter
+
+    monitor, runtime, meter = layers(joint_first)
+    first = Process(graph, monitor=monitor, context_source=runtime,
+                    meter=meter)
+    first.run(system.program)
+    monitor, fresh_runtime, fresh_meter = layers(not joint_first)
+    Process(graph, monitor=monitor, context_source=fresh_runtime,
+            meter=fresh_meter).run(system.program)
+    twin = first.fork(*layers(not joint_first))
+    twin.run(system.program)
+    assert twin.meter.snapshot() == fresh_meter.snapshot()
+    assert (twin.context_source.meter.snapshot()
+            == fresh_runtime.meter.snapshot())

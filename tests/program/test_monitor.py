@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.allocator.libc import LibcAllocator
-from repro.machine.errors import SegmentationFault
+from repro.allocator.libc import MMAP_THRESHOLD, LibcAllocator
+from repro.allocator.segregated import SegregatedAllocator
+from repro.fuzz.faults import FaultInjector
+from repro.machine.errors import (
+    InvalidFree,
+    OutOfMemoryError,
+    SegmentationFault,
+)
+from repro.machine.memory import VirtualMemory
 from repro.program.cost import CycleMeter
 from repro.program.monitor import DirectMonitor
 from repro.program.values import TaggedValue
@@ -83,3 +90,90 @@ def test_use_never_raises_in_native_mode(setup):
     # Even a value flagged invalid is not checked natively.
     value = TaggedValue(b"\x00", valid_mask=b"\x00", origin=3)
     monitor.use(value, "branch")
+
+
+# -- runs that fail partway ------------------------------------------------
+
+#: kind -> (allocator class, a request size that maps its own pages).
+ALLOCATORS = {"libc": (LibcAllocator, MMAP_THRESHOLD),
+              "segregated": (SegregatedAllocator, 8192)}
+
+
+def _monitor(kind, budgets=None):
+    cls, _ = ALLOCATORS[kind]
+    memory = VirtualMemory(fault_injector=(FaultInjector(budgets)
+                                           if budgets else None))
+    allocator = cls(memory)
+    return allocator, DirectMonitor(memory, allocator, CycleMeter())
+
+
+def _raised(call, *args):
+    """What ``call(*args)`` raised, or None."""
+    try:
+        call(*args)
+    except Exception as error:
+        return error
+    return None
+
+
+def _observed(allocator, monitor, error):
+    return (type(error), str(error), monitor.meter.snapshot(),
+            allocator.stats.snapshot(), allocator.live_buffer_count)
+
+
+class TestFailedRunCharges:
+    """A heap run that raises charges ``base`` for the entries the
+    per-call loop reaches, the failing one included, and no more."""
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATORS))
+    def test_malloc_run_out_of_maps(self, kind):
+        size = ALLOCATORS[kind][1]
+        sizes = [size] * 4
+        (run_heap, run), (loop_heap, loop) = (
+            _monitor(kind, {"mmap": 2}) for _ in range(2))
+        error = _raised(run.heap_alloc_run, "malloc", sizes)
+        want = _raised(lambda: [loop.heap_alloc("malloc", s) for s in sizes])
+        assert isinstance(want, OutOfMemoryError)
+        assert loop_heap.live_buffer_count == 2
+        assert (_observed(run_heap, run, error)
+                == _observed(loop_heap, loop, want))
+        assert run.meter.category("base") == 3 * run.meter.model.heap_op
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATORS))
+    def test_malloc_run_negative_size(self, kind):
+        sizes = [64, 64, -1, 64]
+        (run_heap, run), (loop_heap, loop) = (_monitor(kind)
+                                              for _ in range(2))
+        error = _raised(run.heap_alloc_run, "malloc", sizes)
+        want = _raised(lambda: [loop.heap_alloc("malloc", s) for s in sizes])
+        assert want is not None
+        assert (_observed(run_heap, run, error)
+                == _observed(loop_heap, loop, want))
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATORS))
+    @pytest.mark.parametrize("shape", ["bad", "null-then-bad", "twice"])
+    def test_free_run_stops_at_bad_pointer(self, kind, shape):
+        size = ALLOCATORS[kind][1]
+        twins = []
+        for _ in range(2):
+            allocator, monitor = _monitor(kind)
+            a0, a1, a2 = monitor.heap_alloc_run("malloc", [size] * 3)
+            run = {"bad": [a0, a1, 12345678, a2],
+                   "null-then-bad": [0, a0, 0, 12345678, a1],
+                   "twice": [a0, a1, a0, a2]}[shape]
+            twins.append((allocator, monitor, run))
+        (run_heap, run, addresses), (loop_heap, loop, _) = twins
+        error = _raised(run.heap_free_run, addresses)
+        want = _raised(lambda: [loop.heap_free(a) for a in addresses])
+        assert isinstance(want, InvalidFree)
+        assert (_observed(run_heap, run, error)
+                == _observed(loop_heap, loop, want))
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATORS))
+    def test_whole_runs_charge_every_entry(self, kind):
+        allocator, monitor = _monitor(kind)
+        addresses = monitor.heap_alloc_run("malloc", [64] * 5)
+        monitor.heap_free_run(addresses + [0])
+        assert monitor.meter.snapshot() == {
+            "base": 11 * monitor.meter.model.heap_op}
+        assert allocator.live_buffer_count == 0

@@ -84,6 +84,12 @@ class PerCallSprayNginx(NginxServer):
         return len(sent)
 
 
+def serve_one_round(program, p, requests):
+    """One serving round with its own startup, as a program's ``main``
+    body."""
+    return program.serve_round(p, program.serve_startup(p), requests)
+
+
 def attacked(cls):
     """``cls`` whose ``main`` serves benign rounds and attack rounds in
     turn, through the batched entry point.  The second spray reuses the
@@ -92,7 +98,7 @@ def attacked(cls):
 
     class Attacked(cls):
         def main(self, p):
-            return [self.serve_main(p, requests)["outcomes"]
+            return [serve_one_round(self, p, requests)["outcomes"]
                     for requests in (BENIGN, [LEAK_REQUEST]) * 2]
 
     return Attacked
@@ -214,7 +220,7 @@ def test_shadow_diagnosis_matches_per_call_spray():
     for cls in (NginxServer, PerCallSprayNginx):
         class ServeMain(cls):
             def main(self, p, requests):
-                return self.serve_main(p, requests)
+                return serve_one_round(self, p, requests)
 
         results.append(OfflinePatchGenerator(ServeMain(), codec)
                        .replay(requests))

@@ -8,7 +8,7 @@ unnoticed:
   256 requests): the result, the per-category cycles, the allocation
   profile, and a SHA-256 of the ``(fun, ccid, address, size, context)``
   tuple of every :class:`~repro.program.process.AllocationEvent`;
-* ``serve_main`` through a ``workers=1`` serving engine: every
+* serving rounds through a ``workers=1`` serving engine: every
   :class:`~repro.serving.session.BatchResult` field except ``wall``
   (nginx with planted leaks and the body patch swapped in at batch 1,
   and mysql), and the report's outcome counts and outcome digest.
@@ -72,7 +72,7 @@ def run_main(program_cls, mode, monkeypatch):
 
 
 def serve_batches(service, program=None, codec=None, **changes):
-    """``serve_main`` through a ``workers=1`` engine: the engine and the
+    """Serving rounds through a ``workers=1`` engine: the engine and the
     pinned fields of every batch."""
     options = ServingOptions(service=service, workers=1,
                              requests=REQUESTS, batch_size=128, **changes)
