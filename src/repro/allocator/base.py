@@ -19,6 +19,7 @@ import abc
 from typing import List, Sequence
 
 from ..machine.memory import VirtualMemory
+from .stats import AllocationStats
 
 
 class Allocator(abc.ABC):
@@ -27,6 +28,8 @@ class Allocator(abc.ABC):
     #: The virtual memory this allocator serves buffers from.  The defense
     #: layer needs it to install guard pages with ``mprotect``.
     memory: VirtualMemory
+    #: This allocator's own call counters.
+    stats: AllocationStats
 
     @abc.abstractmethod
     def malloc(self, size: int) -> int:

@@ -162,7 +162,7 @@ class LibcAllocator(Allocator):
         self._read_word = self.memory.read_word
         self._write_word = self.memory.write_word
         self._write_word_pair = self.memory.write_word_pair
-        self._record_malloc = self.stats.record_malloc
+        self._record_alloc = self.stats.record_alloc
         self._record_free = self.stats.record_free
 
     # ------------------------------------------------------------------
@@ -170,14 +170,17 @@ class LibcAllocator(Allocator):
     # ------------------------------------------------------------------
 
     def malloc(self, size: int) -> int:
+        user = self._alloc(size)
+        self._record_alloc()
+        return user
+
+    def _alloc(self, size: int) -> int:
+        """``malloc``'s buffer, unrecorded."""
         if size + HEADER_SIZE >= MMAP_THRESHOLD:
-            user = self._alloc_mmapped(size)
-        else:
-            base, chunk_size = self._allocate_chunk(
-                request_to_chunk_size(size))
-            user = base + HEADER_SIZE
-            self._live[user] = chunk_size
-        self._record_malloc(size)
+            return self._alloc_mmapped(size)
+        base, chunk_size = self._allocate_chunk(request_to_chunk_size(size))
+        user = base + HEADER_SIZE
+        self._live[user] = chunk_size
         return user
 
     def _alloc_mmapped(self, size: int) -> int:
@@ -208,7 +211,7 @@ class LibcAllocator(Allocator):
             user = base + HEADER_SIZE
             self.memory.fill(user, total if total else 1, 0)
             self._live[user] = chunk_size
-        self.stats.record_alloc("calloc", total)
+        self._record_alloc("calloc")
         return user
 
     def free(self, address: int) -> None:
@@ -217,7 +220,7 @@ class LibcAllocator(Allocator):
         chunk_size = self._live.pop(address, None)
         if chunk_size is None:
             self._validate_live(address, "free")  # raises the typed error
-        self._record_free(chunk_size - HEADER_SIZE)
+        self._record_free()
         if self._mmapped:
             mapping = self._mmapped.pop(address, None)
             if mapping is not None:
@@ -253,9 +256,9 @@ class LibcAllocator(Allocator):
             new_user = self._alloc_mmapped(size)
             keep = min(chunk.user_size, size)
             self.memory.write(new_user, self.memory.read(address, keep))
-            self.stats.record_alloc("realloc", size)
+            self._record_alloc("realloc")
             del self._live[address]
-            self.stats.record_free(chunk.user_size)
+            self._record_free()
             self._free_chunk(base)
             return new_user
 
@@ -265,46 +268,39 @@ class LibcAllocator(Allocator):
                     else chunk.size)
             self._maybe_split(base, chunk.size, new_csize)
             self._live[address] = kept
-            self.stats.record_alloc("realloc", size)
-            self.stats.record_free(chunk.size - HEADER_SIZE)
+            self._record_alloc("realloc")
+            self._record_free()
             return address
 
         grown_size = self._grow_in_place(chunk, new_csize)
         if grown_size:
             self._live[address] = grown_size
-            self.stats.record_alloc("realloc", size)
-            self.stats.record_free(chunk.size - HEADER_SIZE)
+            self._record_alloc("realloc")
+            self._record_free()
             return address
 
         new_base, new_size = self._allocate_chunk(new_csize)
         new_user = new_base + HEADER_SIZE
-        old_user_size = chunk.user_size
-        self.memory.write(new_user,
-                          self.memory.read(address, min(old_user_size, size)))
+        self.memory.write(new_user, self.memory.read(
+            address, min(chunk.user_size, size)))
         self._live[new_user] = new_size
-        self.stats.record_alloc("realloc", size)
+        self._record_alloc("realloc")
         del self._live[address]
-        self.stats.record_free(old_user_size)
+        self._record_free()
         self._free_chunk(base)
         return new_user
 
     def _realloc_mmapped(self, address: int, size: int) -> int:
         """Resize a dedicated-mapping buffer (always by move)."""
         map_base, length, old_size = self._mmapped[address]
-        if size + HEADER_SIZE >= MMAP_THRESHOLD:
-            new_user = self._alloc_mmapped(size)
-        else:
-            base, chunk_size = self._allocate_chunk(
-                request_to_chunk_size(size))
-            new_user = base + HEADER_SIZE
-            self._live[new_user] = chunk_size
+        new_user = self._alloc(size)
         keep = min(old_size, size)
         if keep:
             self.memory.write(new_user, self.memory.read(address, keep))
-        self.stats.record_alloc("realloc", size)
+        self._record_alloc("realloc")
         del self._live[address]
         del self._mmapped[address]
-        self.stats.record_free(old_size)
+        self._record_free()
         self.memory.munmap(map_base, length)
         return new_user
 
@@ -314,9 +310,8 @@ class LibcAllocator(Allocator):
                 f"memalign: alignment {alignment} is not a power of two")
         if alignment <= CHUNK_ALIGN:
             # Every chunk's user area is already 16-byte aligned.
-            user = self.malloc(size)
-            self.stats.malloc_calls -= 1
-            self.stats.memalign_calls += 1
+            user = self._alloc(size)
+            self._record_alloc("memalign")
             return user
         slack = alignment + MIN_CHUNK_SIZE
         big_csize = request_to_chunk_size(size + slack)
@@ -345,7 +340,7 @@ class LibcAllocator(Allocator):
 
         user = base + HEADER_SIZE
         self._live[user] = read_chunk(self.memory, base).size
-        self.stats.record_alloc("memalign", size)
+        self._record_alloc("memalign")
         return user
 
     def malloc_usable_size(self, address: int) -> int:

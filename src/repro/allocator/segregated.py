@@ -135,7 +135,7 @@ class SegregatedAllocator(Allocator):
         if size < 0:
             raise ValueError("malloc: negative size")
         address = self._allocate(size)
-        self.stats.record_alloc("malloc", size)
+        self.stats.record_alloc()
         return address
 
     def calloc(self, nmemb: int, size: int) -> int:
@@ -149,7 +149,7 @@ class SegregatedAllocator(Allocator):
                 f"calloc: {nmemb} * {size} overflows size_t")
         address = self._allocate(total)
         self.memory.fill(address, max(total, 1), 0)
-        self.stats.record_alloc("calloc", total)
+        self.stats.record_alloc("calloc")
         return address
 
     def memalign(self, alignment: int, size: int) -> int:
@@ -157,7 +157,7 @@ class SegregatedAllocator(Allocator):
             raise ValueError(
                 f"memalign: alignment {alignment} is not a power of two")
         address = self._allocate(size, alignment)
-        self.stats.record_alloc("memalign", size)
+        self.stats.record_alloc("memalign")
         return address
 
     def realloc(self, address: int, size: int) -> int:
@@ -171,16 +171,16 @@ class SegregatedAllocator(Allocator):
         keep = min(old_usable, size)
         if keep:
             self.memory.write(new_address, self.memory.read(address, keep))
-        self.stats.record_alloc("realloc", size)
+        self.stats.record_alloc("realloc")
         self._release(address)
-        self.stats.record_free(old_usable)
+        self.stats.record_free()
         return new_address
 
     def free(self, address: int) -> None:
         if address == 0:
             return
-        usable = self._release(address)
-        self.stats.record_free(usable)
+        self._release(address)
+        self.stats.record_free()
 
     # -- batched entry points (see Allocator.malloc_run) ---------------
     #
@@ -203,26 +203,23 @@ class SegregatedAllocator(Allocator):
             finally:
                 # Slots taken before a failed refill stay live and
                 # counted, as they would after the per-call loop.
-                self._place(out, repeat(("slot", cls)), sizes)
+                self._place(out, repeat(("slot", cls)))
             return out
         length = page_align_up(first)
         self._map_large(length, n, out)
-        self._place(out, (("large", (base, length)) for base in out),
-                    sizes)
+        self._place(out, (("large", (base, length)) for base in out))
         # Whatever the one mapping could not place goes per call.
         while len(out) < n:
             out.append(self.malloc(first))
         return out
 
-    def _place(self, out: List[int], entries: Iterable[Tuple[str, object]],
-               sizes: Sequence[int]) -> None:
-        """Register ``out`` as live objects and count them as the first
-        ``len(out)`` mallocs of ``sizes``."""
+    def _place(self, out: List[int],
+               entries: Iterable[Tuple[str, object]]) -> None:
+        """Register ``out`` as live objects and count them as mallocs."""
         self._objects.update(zip(out, entries))
         if self._retired:
             self._retired.difference_update(out)
-        self.stats.record_malloc_run(
-            sizes if len(out) == len(sizes) else sizes[:len(out)])
+        self.stats.record_alloc("malloc", len(out))
 
     def _take_slots(self, cls: int, n: int, out: List[int]) -> None:
         """Append ``n`` slots of class ``cls`` to ``out``: the same
@@ -290,7 +287,7 @@ class SegregatedAllocator(Allocator):
         if first[0] == "slot" and entries.count(first) == n:
             cls = first[1]
             self._free_slots.setdefault(cls, []).extend(live)
-            self.stats.record_free_run([cls] * n)
+            self.stats.record_free(n)
             return
         if first[0] == "large":
             length = first[1][1]
@@ -305,13 +302,15 @@ class SegregatedAllocator(Allocator):
                 munmap = self.memory.munmap
                 for base in live[take:]:
                     munmap(base, length)
-                self.stats.record_free_run([length] * n)
+                self.stats.record_free(n)
                 return
         release = self._release_entry
-        self.stats.record_free_run(list(map(release, live, entries)))
+        for address, entry in zip(live, entries):
+            release(address, entry)
+        self.stats.record_free(n)
 
-    def _release(self, address: int) -> int:
-        """Return an object to its slab or unmap it; returns its size."""
+    def _release(self, address: int) -> None:
+        """Return an object to its slab or unmap it."""
         entry = self._objects.pop(address, None)
         if entry is None:
             if address in self._retired:
@@ -319,16 +318,15 @@ class SegregatedAllocator(Allocator):
             raise InvalidFree(address,
                               reason="free of pointer not from this heap")
         self._retired.add(address)
-        return self._release_entry(address, entry)
+        self._release_entry(address, entry)
 
     def _release_entry(self, address: int,
-                       entry: Tuple[str, object]) -> int:
-        """Release the popped, retired object ``entry`` at ``address``;
-        returns its size."""
+                       entry: Tuple[str, object]) -> None:
+        """Release the popped, retired object ``entry`` at ``address``."""
         kind, info = entry
         if kind == "slot":
             self._free_slots.setdefault(info, []).append(address)
-            return info
+            return
         base, length = info
         if address == base and self._map_cached < self._map_cache_limit:
             # Retain the mapping for same-length reuse (over-aligned
@@ -338,7 +336,6 @@ class SegregatedAllocator(Allocator):
             self._map_cached += 1
         else:
             self.memory.munmap(base, length)
-        return base + length - address
 
     def malloc_usable_size(self, address: int) -> int:
         if address == 0:

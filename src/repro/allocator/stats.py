@@ -2,15 +2,21 @@
 
 Table IV of the paper reports, per SPEC CPU2006 benchmark, how many times
 ``malloc``, ``calloc`` and ``realloc`` were invoked.  ``AllocationStats`` is
-the counter object every allocator (and the defense interposer) updates so
+the call counter every allocator (and the defense interposer) keeps so
 the reproduction can print the same table for the synthetic workloads.
+
+It counts calls and live buffers, never bytes: an allocation records its
+entry point, a free records one more free, and a run records its length
+once.  Each layer counts its own calls, so a defended stack keeps two of
+these: the interposer's user requests and the raw requests the allocator
+under it serves (a quarantined free reaches the latter only at eviction).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Dict, Sequence
+from dataclasses import dataclass, fields
+from typing import Dict
 
 #: ``dataclass(slots=True)`` needs Python 3.10; 3.9 gets a plain one.
 _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
@@ -18,12 +24,7 @@ _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 @dataclass(**_SLOTS)
 class AllocationStats:
-    """Lifetime counters for one allocator instance.
-
-    Slotted where the interpreter supports it: both the interposer and
-    the underlying allocator update these counters on *every* heap call,
-    so attribute access here is hot-path work.
-    """
+    """Lifetime call counters for one allocator instance."""
 
     malloc_calls: int = 0
     calloc_calls: int = 0
@@ -31,112 +32,41 @@ class AllocationStats:
     free_calls: int = 0
     memalign_calls: int = 0
 
-    #: Total bytes handed out across all allocations.
-    bytes_allocated: int = 0
-    #: Bytes in currently live buffers.
-    bytes_live: int = 0
-    #: High-water mark of ``bytes_live``.
-    bytes_peak: int = 0
     #: Number of currently live buffers.
     live_buffers: int = 0
     #: High-water mark of ``live_buffers``.
     peak_buffers: int = 0
 
-    #: Histogram of request sizes, bucketed by power of two.
-    size_histogram: Dict[int, int] = field(default_factory=dict)
-
-    def record_malloc(self, size: int) -> None:
-        """``record_alloc("malloc", size)`` without the entry-point
-        dispatch — the fast path for the one function that dominates
-        every workload's call mix."""
-        self.malloc_calls += 1
-        self.bytes_allocated += size
-        live = self.bytes_live + size
-        self.bytes_live = live
-        if live > self.bytes_peak:
-            self.bytes_peak = live
-        buffers = self.live_buffers + 1
-        self.live_buffers = buffers
-        if buffers > self.peak_buffers:
-            self.peak_buffers = buffers
-        bucket = size.bit_length() or 1
-        histogram = self.size_histogram
-        histogram[bucket] = histogram.get(bucket, 0) + 1
-
-    def record_alloc(self, fun: str, size: int) -> None:
-        """Record one successful allocation through entry point ``fun``."""
+    def record_alloc(self, fun: str = "malloc", n: int = 1) -> None:
+        """Record ``n`` successful allocations through entry point
+        ``fun``.  Within one such record ``live_buffers`` only grows, so
+        the peak after it equals the running peak of ``n`` single
+        records."""
         if fun == "malloc":
-            self.malloc_calls += 1
+            self.malloc_calls += n
         elif fun == "calloc":
-            self.calloc_calls += 1
+            self.calloc_calls += n
         elif fun == "realloc":
-            self.realloc_calls += 1
+            self.realloc_calls += n
         elif fun in ("memalign", "aligned_alloc", "posix_memalign"):
-            self.memalign_calls += 1
+            self.memalign_calls += n
         else:
             raise ValueError(f"unknown allocation function {fun!r}")
-        self.bytes_allocated += size
-        live = self.bytes_live + size
-        self.bytes_live = live
-        if live > self.bytes_peak:
-            self.bytes_peak = live
-        buffers = self.live_buffers + 1
-        self.live_buffers = buffers
-        if buffers > self.peak_buffers:
-            self.peak_buffers = buffers
-        bucket = size.bit_length() or 1
-        self.size_histogram[bucket] = self.size_histogram.get(bucket, 0) + 1
-
-    def record_free(self, size: int) -> None:
-        """Record one ``free`` of a buffer of ``size`` bytes."""
-        self.free_calls += 1
-        self.bytes_live -= size
-        self.live_buffers -= 1
-
-    # -- batched recorders (fused loops; see Allocator.malloc_run) -----
-    #
-    # Counter-exact equivalents of n per-call records.  Exactness of the
-    # high-water marks follows from monotonicity: within an all-malloc
-    # run ``bytes_live``/``live_buffers`` only grow, so the peak after
-    # the run equals the running peak the per-call path would have seen;
-    # an all-free run only shrinks them and never moves a peak.
-
-    def record_malloc_run(self, sizes: Sequence[int]) -> None:
-        """Record a run of ``malloc`` allocations in one update."""
-        n = len(sizes)
-        total = sum(sizes)
-        self.malloc_calls += n
-        self.bytes_allocated += total
-        live = self.bytes_live + total
-        self.bytes_live = live
-        if live > self.bytes_peak:
-            self.bytes_peak = live
         buffers = self.live_buffers + n
         self.live_buffers = buffers
         if buffers > self.peak_buffers:
             self.peak_buffers = buffers
-        histogram = self.size_histogram
-        first = sizes[0] if n else 0
-        if n and sizes.count(first) == n:
-            bucket = first.bit_length() or 1
-            histogram[bucket] = histogram.get(bucket, 0) + n
-        else:
-            for size in sizes:
-                bucket = size.bit_length() or 1
-                histogram[bucket] = histogram.get(bucket, 0) + 1
 
-    def record_free_run(self, sizes: Sequence[int]) -> None:
-        """Record a run of ``free`` calls in one update."""
-        self.free_calls += len(sizes)
-        self.bytes_live -= sum(sizes)
-        self.live_buffers -= len(sizes)
+    def record_free(self, n: int = 1) -> None:
+        """Record ``n`` frees of live buffers."""
+        self.free_calls += n
+        self.live_buffers -= n
 
     def copy_from(self, other: "AllocationStats") -> None:
         """Overwrite every counter with ``other``'s (a fork's stats stay
         the object its owner's prebound recorders are bound to)."""
         for counter in fields(self):
             setattr(self, counter.name, getattr(other, counter.name))
-        self.size_histogram = dict(other.size_histogram)
 
     @property
     def total_allocations(self) -> int:
@@ -152,9 +82,6 @@ class AllocationStats:
             "realloc": self.realloc_calls,
             "memalign": self.memalign_calls,
             "free": self.free_calls,
-            "bytes_allocated": self.bytes_allocated,
-            "bytes_live": self.bytes_live,
-            "bytes_peak": self.bytes_peak,
             "live_buffers": self.live_buffers,
             "peak_buffers": self.peak_buffers,
         }

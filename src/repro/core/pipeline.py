@@ -37,7 +37,6 @@ from ..machine.errors import SegmentationFault
 from ..patch.generator import OfflinePatchGenerator, PatchGenerationResult
 from ..patch.model import HeapPatch
 from ..program.cost import CycleMeter
-from ..program.monitor import DirectMonitor
 from ..program.process import Process
 from ..program.program import Program
 from .instrument import InstrumentedProgram, instrument
@@ -242,8 +241,7 @@ class HeapTherapy:
         defended = DefendedAllocator(
             underlying, table, context_source=runtime, meter=meter,
             quarantine_quota=self.quarantine_quota)
-        monitor = DirectMonitor(underlying.memory, defended, meter)
-        process = Process(self.program.graph, monitor=monitor,
+        process = Process(self.program.graph, heap=defended,
                           context_source=runtime, meter=meter,
                           record_allocations=False)
         blocked = False

@@ -159,7 +159,7 @@ class DefendedAllocator(Allocator):
         self._underlying_free = underlying.free
         self._write_word = self.memory.write_word
         self._read_word = self.memory.read_word
-        self._record_malloc = self.stats.record_malloc
+        self._record_alloc = self.stats.record_alloc
         self._record_free = self.stats.record_free
         #: What one interposed allocation and one interposed free
         #: charge, counted as one record each.
@@ -211,7 +211,7 @@ class DefendedAllocator(Allocator):
                 count(self._alloc_charges)
             raw = self._underlying_malloc(METADATA_SIZE + size)
             self._write_word(raw, size << _SIZE_SHIFT)
-            self._record_malloc(size)
+            self._record_alloc()
             return raw + METADATA_SIZE
         return self._allocate_run("malloc", (size,))[0]
 
@@ -338,7 +338,7 @@ class DefendedAllocator(Allocator):
         if guarded:
             self._seal(fun, raws, guards, sizes)
         else:
-            self._record(fun, sizes)
+            self._record_alloc(fun, n)
         if zero or vuln & _UNINIT:
             fill = self.memory.fill
             for user, size in zip(users, sizes):
@@ -352,13 +352,6 @@ class DefendedAllocator(Allocator):
         if vuln & _UAF:
             self.enhanced_counts[VulnType.USE_AFTER_FREE] += n
         return users
-
-    def _record(self, fun: str, sizes: Sequence[int]) -> None:
-        if fun == "malloc":
-            self.stats.record_malloc_run(sizes)
-        else:
-            for size in sizes:
-                self.stats.record_alloc(fun, size)
 
     def _seal(self, fun: str, raws: List[int], guards: List[int],
               sizes: Sequence[int]) -> None:
@@ -375,7 +368,7 @@ class DefendedAllocator(Allocator):
                 self.underlying.free_run(raws[sealed:])
             if sealed:
                 self.enhanced_counts[VulnType.OVERFLOW] += sealed
-                self._record(fun, sizes[:sealed])
+                self._record_alloc(fun, sealed)
 
     # ------------------------------------------------------------------
     # Deallocation (Figure 7)
@@ -393,7 +386,7 @@ class DefendedAllocator(Allocator):
             # guard page, no quarantine, align_log2 0 — the whole word
             # is ``user_size << 4``.  Free without decoding (Figure 7
             # collapses to its degenerate first row).
-            self._record_free(word >> _SIZE_SHIFT)
+            self._record_free()
             self._underlying_free(address - METADATA_SIZE)
             return
         self._free_words((address,), (word,))
@@ -424,16 +417,16 @@ class DefendedAllocator(Allocator):
                     unsealed: bool = False) -> None:
         """Figure 7 for ``users`` by their metadata ``words``, in order.
 
-        A guard is unsealed (unless realloc did it) to read the user
-        size.  A USE_AFTER_FREE buffer goes to the quarantine, unless it
-        is still there (a double free, absorbed).  Every other chunk
-        joins one underlying release, flushed before each quarantine
-        push, so the underlying sees the scalar loop's order.  ``run``,
-        the caller's addresses, asks to charge interposition for the
-        entries reached: all, or those up to the one whose free raised.
+        A guard is unsealed (unless realloc did it) before its chunk
+        goes back.  A USE_AFTER_FREE buffer goes to the quarantine,
+        unless it is still there (a double free, absorbed).  Every other
+        chunk joins one underlying release, flushed before each
+        quarantine push, so the underlying sees the scalar loop's order.
+        ``run``, the caller's addresses, asks to charge interposition
+        for the entries reached: all, or those up to the one whose free
+        raised.
         """
         chunks: List[int] = []
-        sizes: List[int] = []
         head = 0  # index of chunks[0] in users
         k = 0
         done = False
@@ -443,7 +436,6 @@ class DefendedAllocator(Allocator):
             for k in tagged + [len(words)]:
                 if plain < k:
                     chunks += [user - METADATA_SIZE for user in users[plain:k]]
-                    sizes += [word >> _SIZE_SHIFT for word in words[plain:k]]
                 if k == len(words):
                     break
                 plain = k + 1
@@ -452,8 +444,8 @@ class DefendedAllocator(Allocator):
                 uaf = word & _UAF
                 if uaf:
                     if chunks:
-                        self._release(chunks, sizes)
-                        chunks, sizes = [], []
+                        self._release(chunks)
+                        chunks = []
                     head = k + 1
                     if raw in self.quarantine:
                         continue  # still quarantined: a double free
@@ -463,14 +455,13 @@ class DefendedAllocator(Allocator):
                             self._protect(guard, PROT_RW)
                         except MachineError:
                             if chunks:  # the scalar loop freed them first
-                                self._release(chunks, sizes)
+                                self._release(chunks)
                             raise
-                    size = self._read_word(guard)
                     end = guard + PAGE_SIZE
                 else:
                     end = user + size
                 if uaf:
-                    self._record_free(size)
+                    self._record_free()
                     self._charge("defense", self.meter.model.quarantine_op
                                  if self.meter else 0)
                     evicted = self.quarantine.push(
@@ -480,9 +471,8 @@ class DefendedAllocator(Allocator):
                             [block.address for block in evicted])
                     continue
                 chunks.append(raw)
-                sizes.append(size)
             if chunks:
-                self._release(chunks, sizes)
+                self._release(chunks)
             done = True
         except InvalidFree as exc:
             if exc.address in chunks:
@@ -503,16 +493,15 @@ class DefendedAllocator(Allocator):
                     len(run) if done else
                     [i for i, address in enumerate(run) if address][k] + 1)
 
-    def _release(self, chunks: List[int], sizes: List[int]) -> None:
-        """Release chunks in one underlying run and record their user
-        sizes; a bad free records the frees through it, as scalar does."""
+    def _release(self, chunks: List[int]) -> None:
+        """Release chunks in one underlying run and record their frees;
+        a bad free records the frees through it, as scalar does."""
         try:
             self.underlying.free_run(chunks)
         except InvalidFree as exc:
-            self.stats.record_free_run(
-                sizes[:chunks.index(exc.address) + 1])
+            self._record_free(chunks.index(exc.address) + 1)
             raise
-        self.stats.record_free_run(sizes)
+        self._record_free(len(chunks))
 
     # ------------------------------------------------------------------
     # Patch-table swap (read-mostly shared tables, copy-on-write)

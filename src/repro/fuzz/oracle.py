@@ -36,7 +36,6 @@ from ..machine.errors import MachineError
 from ..patch.generator import OfflinePatchGenerator
 from ..patch.model import HeapPatch
 from ..program.cost import CycleMeter
-from ..program.monitor import DirectMonitor
 from ..program.process import Process
 from ..vulntypes import VulnType
 from .generator import (
@@ -93,17 +92,11 @@ def _observe(program: GeneratedProgram,
     meter = CycleMeter()
     runtime = instrumented.runtime(meter)
     underlying = LibcAllocator()
-    if table is None:
-        process = Process(program.graph, heap=underlying,
-                          context_source=runtime, meter=meter,
-                          record_allocations=True)
-    else:
-        defended = DefendedAllocator(underlying, table,
-                                     context_source=runtime, meter=meter)
-        monitor = DirectMonitor(underlying.memory, defended, meter)
-        process = Process(program.graph, monitor=monitor,
-                          context_source=runtime, meter=meter,
-                          record_allocations=True)
+    heap = (underlying if table is None
+            else DefendedAllocator(underlying, table,
+                                   context_source=runtime, meter=meter))
+    process = Process(program.graph, heap=heap, context_source=runtime,
+                      meter=meter, record_allocations=True)
     fault: Optional[str] = None
     outcome = None
     try:

@@ -56,6 +56,9 @@ class ExecutionMonitor(abc.ABC):
     """Every memory/heap operation a guest program can perform."""
 
     process: Optional["Process"] = None
+    #: The guest's address space and the allocator serving it.
+    memory: VirtualMemory
+    heap: Allocator
 
     def bind(self, process: "Process") -> None:
         """Attach the process; called once by ``Process.__init__``."""

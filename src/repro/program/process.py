@@ -475,19 +475,47 @@ class Process:
         read) happens once — valid because every allocation of the run
         flows through the same call site, so the per-call path would
         compute the identical CCID each time.  The crossing counts the
-        run length, so encoding cycles, update counters and coverage
-        still count every crossing.  Profile counts and events match a
-        per-call loop exactly.  Under a lock-step scheduler, or when the
-        CCID read is impure, the run is replayed per call so every
-        allocation stays a preemption point and reads its own CCID.
+        entries the run reaches, so encoding cycles, update counters
+        and coverage still count every crossing.  Profile counts and
+        events match a per-call loop exactly.  Under a lock-step
+        scheduler, or when the CCID read is impure, the run is replayed
+        per call so every allocation stays a preemption point and reads
+        its own CCID.
+
+        A run that raises partway crosses and profiles the entries the
+        loop reaches, the failing one's crossing included, counted off
+        the heap's ``malloc_calls`` as the monitor counts its ``base``.
+        The log cannot name the buffers made before the failure, so
+        while it is kept, a run that may stop partway for a reason
+        known up front (a negative size, an armed fault injector) is
+        replayed per call.
         """
         if not sizes:
             return []
-        if self.scheduler is not None or not self._pure_ccid:
+        monitor = self.monitor
+        if (self.scheduler is not None or not self._pure_ccid
+                or self.record_allocations and (
+                    min(sizes) < 0
+                    or monitor.memory.fault_injector is not None)):
             return [self.malloc(size, site=site) for size in sizes]
-        call_site, ccid = self._heap_crossing("malloc", site, len(sizes))
-        addresses = self.monitor.heap_alloc_run("malloc", sizes)
-        self.alloc_profile[("malloc", ccid)] += len(sizes)
+        # The first crossing sets the CCID the heap reads; the others
+        # leave the same CCID, so they are counted once the run's
+        # reach is known.
+        call_site, ccid = self._heap_crossing("malloc", site, 1)
+        stats = monitor.heap.stats
+        made = stats.malloc_calls
+        try:
+            addresses = monitor.heap_alloc_run("malloc", sizes)
+        except BaseException:
+            made = stats.malloc_calls - made
+            if made:
+                self._heap_crossing("malloc", site, made)
+                self.alloc_profile[("malloc", ccid)] += made
+            raise
+        n = len(sizes)
+        if n > 1:
+            self._heap_crossing("malloc", site, n - 1)
+        self.alloc_profile[("malloc", ccid)] += n
         if self.record_allocations:
             self._log("malloc", ccid, call_site, addresses, sizes)
         return addresses

@@ -53,9 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-import signal
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -291,33 +289,9 @@ def _init_worker(payload: bytes) -> None:
     _STATE = _WorkerServeState(pickle.loads(payload))
 
 
-def _maybe_inject_crash(index: int) -> None:
-    """Fault injection for the crash-recovery tests (env-gated, no-op
-    otherwise): SIGKILL this worker before serving the targeted batch.
-
-    ``REPRO_SERVE_CRASH_BATCH`` names the batch index to die on;
-    ``REPRO_SERVE_CRASH_FLAG`` is a flag-file path created atomically
-    (``O_EXCL``) so exactly one worker dies exactly once — the
-    resubmitted batch then serves normally.  With no flag set the
-    batch crashes *every* attempt, which is the persistent-crash-loop
-    case the bounded-rebuild test pins down.
-    """
-    target = os.environ.get("REPRO_SERVE_CRASH_BATCH")
-    if target is None or int(target) != index:
-        return
-    flag = os.environ.get("REPRO_SERVE_CRASH_FLAG")
-    if flag is not None:
-        try:
-            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _serve_index(index: int) -> BatchResult:
     """Pool task: serve one admitted batch by index."""
     assert _STATE is not None, "worker initializer did not run"
-    _maybe_inject_crash(index)
     return _STATE.serve_batch(index)
 
 

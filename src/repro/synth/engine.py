@@ -82,7 +82,6 @@ from ..machine.errors import MachineError
 from ..parallel.fanout import fanout_map
 from ..patch.generator import OfflinePatchGenerator
 from ..program.cost import CycleMeter
-from ..program.monitor import DirectMonitor
 from ..program.process import Process
 from ..workloads.corpus import (
     AttackCorpus,
@@ -252,20 +251,14 @@ def _simulate(plan: LayoutPlan, sizes: Mapping[AllocSiteId, int],
 
 def _run_defended(program: Any,
                   table: PatchTable) -> Tuple[Optional[str], Any]:
-    """Re-run the attack under ``table``; return (fault name, outcome).
-
-    The construction mirrors the fuzz oracle's defended run: interposed
-    allocator in front of a fresh libc heap, direct monitor, attack
-    input.
-    """
+    """Re-run the attack under ``table`` (interposed in front of a
+    fresh libc heap); return (fault name, outcome)."""
     instrumented = instrument(program)
     meter = CycleMeter()
     runtime = instrumented.runtime(meter)
-    underlying = LibcAllocator()
-    defended = DefendedAllocator(underlying, table,
+    defended = DefendedAllocator(LibcAllocator(), table,
                                  context_source=runtime, meter=meter)
-    monitor = DirectMonitor(underlying.memory, defended, meter)
-    process = Process(program.graph, monitor=monitor,
+    process = Process(program.graph, heap=defended,
                       context_source=runtime, meter=meter)
     try:
         return None, process.run(program, True)

@@ -252,7 +252,6 @@ def after_partial_run(allocator):
     if isinstance(allocator, LibcAllocator):
         allocator.check_consistency()
     state = (allocator.live_buffer_count, allocator.stats.snapshot(),
-             dict(allocator.stats.size_histogram),
              list(allocator.memory.iter_mappings()), allocator.memory.brk)
     probe = [allocator.malloc(size)
              for size in (64, MAX_CLASS, LARGE, MMAP_THRESHOLD)]
@@ -579,7 +578,7 @@ class GenericOracle:
             self.memory.write_word(placed.guard, size)
             self._protect(placed.guard, PROT_NONE)
             self.enhanced_counts[OVERFLOW] += 1
-        self.stats.record_alloc(fun, size)
+        self.stats.record_alloc(fun)
         if zero or vuln & UNINIT:
             if size:
                 self.memory.fill(placed.user, size, 0)
@@ -624,7 +623,7 @@ class GenericOracle:
         meta, raw, size = decoded
         if size is None:
             return
-        self.stats.record_free(size)
+        self.stats.record_free()
         if not meta.vuln & UAF:
             self.underlying.free(raw)
             return

@@ -7,54 +7,68 @@ from repro.allocator.stats import AllocationStats
 
 def test_per_api_counters():
     stats = AllocationStats()
-    stats.record_alloc("malloc", 100)
-    stats.record_alloc("malloc", 50)
-    stats.record_alloc("calloc", 200)
-    stats.record_alloc("realloc", 10)
-    stats.record_alloc("memalign", 64)
-    stats.record_alloc("aligned_alloc", 64)
+    stats.record_alloc()
+    stats.record_alloc("malloc")
+    stats.record_alloc("calloc")
+    stats.record_alloc("realloc")
+    stats.record_alloc("memalign")
+    stats.record_alloc("aligned_alloc")
+    stats.record_alloc("posix_memalign")
     assert stats.malloc_calls == 2
     assert stats.calloc_calls == 1
     assert stats.realloc_calls == 1
-    assert stats.memalign_calls == 2
-    assert stats.total_allocations == 6
+    assert stats.memalign_calls == 3
+    assert stats.total_allocations == 7
 
 
 def test_unknown_api_rejected():
     stats = AllocationStats()
     with pytest.raises(ValueError):
-        stats.record_alloc("valloc", 8)
+        stats.record_alloc("valloc")
+    assert stats == AllocationStats()
 
 
 def test_live_and_peak_tracking():
     stats = AllocationStats()
-    stats.record_alloc("malloc", 100)
-    stats.record_alloc("malloc", 300)
-    assert stats.bytes_live == 400
-    assert stats.bytes_peak == 400
-    assert stats.peak_buffers == 2
-    stats.record_free(300)
-    assert stats.bytes_live == 100
+    stats.record_alloc()
+    stats.record_alloc()
+    assert stats.live_buffers == stats.peak_buffers == 2
+    stats.record_free()
+    assert stats.free_calls == 1
     assert stats.live_buffers == 1
-    assert stats.bytes_peak == 400  # peak is sticky
-    stats.record_alloc("malloc", 50)
-    assert stats.bytes_peak == 400
+    assert stats.peak_buffers == 2  # peak is sticky
+    stats.record_alloc()
+    assert stats.peak_buffers == 2
 
 
-def test_size_histogram_buckets_by_power_of_two():
-    stats = AllocationStats()
-    for size in (1, 2, 3, 4, 1000):
-        stats.record_alloc("malloc", size)
-    assert stats.size_histogram[1] == 1      # size 1
-    assert stats.size_histogram[2] == 2      # sizes 2, 3
-    assert stats.size_histogram[3] == 1      # size 4
-    assert stats.size_histogram[10] == 1     # size 1000
+def test_counted_records_equal_single_records():
+    single, counted = AllocationStats(), AllocationStats()
+    for fun, n in (("malloc", 3), ("calloc", 2), ("posix_memalign", 1)):
+        for _ in range(n):
+            single.record_alloc(fun)
+        counted.record_alloc(fun, n)
+    for _ in range(4):
+        single.record_free()
+    counted.record_free(4)
+    counted.record_alloc("malloc", 0)
+    counted.record_free(0)
+    assert counted == single
+    assert counted.live_buffers == 2 and counted.peak_buffers == 6
 
 
 def test_snapshot_round_trips_fields():
     stats = AllocationStats()
-    stats.record_alloc("calloc", 128)
+    stats.record_alloc("calloc")
     snapshot = stats.snapshot()
     assert snapshot["calloc"] == 1
-    assert snapshot["bytes_allocated"] == 128
     assert snapshot["live_buffers"] == 1
+
+
+def test_copy_from_copies_every_counter():
+    source = AllocationStats()
+    source.record_alloc("realloc", 3)
+    source.record_free(2)
+    copy = AllocationStats()
+    copy.copy_from(source)
+    assert copy == source
+    assert copy.snapshot() == source.snapshot()

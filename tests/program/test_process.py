@@ -3,8 +3,14 @@
 import pytest
 
 from repro.allocator.libc import LibcAllocator
-from repro.machine.errors import SegmentationFault
+from repro.allocator.segregated import SegregatedAllocator
+from repro.ccencoding import Strategy
+from repro.core.instrument import instrument
+from repro.fuzz.faults import FaultInjector
+from repro.machine.errors import OutOfMemoryError
+from repro.machine.memory import VirtualMemory
 from repro.program.callgraph import CallGraph, CallGraphError
+from repro.program.cost import CycleMeter
 from repro.program.process import Process, ProcessError
 from repro.program.program import Program
 from repro.program.values import TaggedValue
@@ -254,3 +260,72 @@ class TestReallocSemantics:
         assert events[-1].address == new_address
         grow_site = re_prog.graph.site("main", "grow").site_id
         assert events[-1].context[0] == grow_site
+
+
+class BufferProgram(Program):
+    """main -> worker -> malloc "buf": the worker allocates its sizes
+    as one run or one call at a time."""
+
+    name = "buffers"
+
+    def build_graph(self):
+        graph = CallGraph()
+        graph.add_call_site("main", "worker")
+        graph.add_call_site("worker", "malloc", "buf")
+        return graph
+
+    def main(self, p, sizes, batched):
+        return p.call("worker", self._worker, sizes, batched)
+
+    def _worker(self, p, sizes, batched):
+        if batched:
+            return p.malloc_run(sizes, site="buf")
+        return [p.malloc(size, site="buf") for size in sizes]
+
+
+class TestFailedMallocRun:
+    """A ``malloc_run`` that raises partway leaves the crossing
+    counters, the encoding cycles, the profile and the log where the
+    per-call loop leaves them: every entry reached, the failing one's
+    crossing included, and no more.  With the log off the run itself
+    reaches the heap; with it on, the run replays per call."""
+
+    @staticmethod
+    def _observe(allocator_cls, sizes, budgets, log, batched):
+        program = BufferProgram()
+        system = instrument(program, Strategy.TCS, "pcc")
+        meter = CycleMeter()
+        runtime = system.runtime(meter)
+        memory = VirtualMemory(fault_injector=(FaultInjector(budgets)
+                                               if budgets else None))
+        heap = allocator_cls(memory)
+        process = Process(program.graph, heap=heap, context_source=runtime,
+                          meter=meter, record_allocations=log)
+        with pytest.raises((OutOfMemoryError, ValueError)) as excinfo:
+            process.run(program, sizes, batched)
+        return {
+            "error": (excinfo.type, str(excinfo.value)),
+            "meter": meter.snapshot(),
+            "crossings": (runtime.sites_crossed, runtime.updates_executed),
+            "profile": dict(process.alloc_profile),
+            "events": [(e.serial, e.fun, e.ccid, e.address, e.size,
+                        e.context) for e in process.allocations],
+            "heap": (heap.stats.snapshot(), heap.live_buffer_count),
+        }
+
+    @pytest.mark.parametrize("log", [True, False], ids=["log", "no-log"])
+    @pytest.mark.parametrize("allocator_cls",
+                             [LibcAllocator, SegregatedAllocator],
+                             ids=["libc", "segregated"])
+    @pytest.mark.parametrize("sizes, budgets", [
+        ([200_000] * 4, {"mmap": 2}),
+        ([64, 64, -1, 64], None),
+    ], ids=["mmap-fault", "negative-size"])
+    def test_run_equals_the_stopped_loop(self, allocator_cls, sizes,
+                                         budgets, log):
+        run = self._observe(allocator_cls, sizes, budgets, log, True)
+        loop = self._observe(allocator_cls, sizes, budgets, log, False)
+        assert loop["heap"][1] == 2
+        assert sum(loop["profile"].values()) == 2
+        assert len(loop["events"]) == (2 if log else 0)
+        assert run == loop

@@ -1,19 +1,19 @@
 """Worker crash recovery: a SIGKILLed worker never changes the report.
 
-Fault injection is env-gated inside the pool worker
-(:func:`repro.serving.engine._maybe_inject_crash`): exactly one worker
-SIGKILLs itself before serving a targeted batch (an ``O_EXCL`` flag
-file makes the crash once-only), which breaks the whole
-``ProcessPoolExecutor``.  The engine must reap the broken pool, refork,
-resubmit only the unfinished batches, and still produce a report
-byte-identical to the undisturbed ``workers=1`` oracle — batch
-outcomes are pure functions of (batch, table version), so reruns are
-exact.
+Fault injection patches ``_WorkerServeState.serve_batch``, which
+fork-started pool workers inherit: exactly one worker SIGKILLs itself
+before serving a targeted batch (an ``O_EXCL`` flag file makes the
+crash once-only), which breaks the whole ``ProcessPoolExecutor``.  The
+engine must reap the broken pool, refork, resubmit only the unfinished
+batches, and still produce a report byte-identical to the undisturbed
+``workers=1`` oracle — batch outcomes are pure functions of (batch,
+table version), so reruns are exact.
 """
 
 import json
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import replace
 
@@ -21,7 +21,6 @@ import pytest
 
 from repro.patch import config as patch_config
 from repro.patch.model import HeapPatch
-from repro.serving import engine as engine_module
 from repro.serving.engine import (
     MAX_POOL_REBUILDS,
     ServingEngine,
@@ -31,6 +30,10 @@ from repro.serving.engine import (
     serve,
 )
 from repro.vulntypes import VulnType
+
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers inherit the patched methods by fork")
 
 #: Multi-batch shape with attacks on both sides of the crashed batch.
 OPTIONS = ServingOptions(service="nginx", requests=80, batch_size=10,
@@ -43,12 +46,39 @@ def canonical(result):
     return json.dumps(report, sort_keys=True)
 
 
+def arm_crash(monkeypatch, target, flag=None, on_crash=None):
+    """Make a pool worker SIGKILL itself before serving batch
+    ``target``: once, when ``flag`` names a file for the crashing
+    worker to create with ``O_EXCL``, else on every attempt.
+    ``on_crash(index)`` runs in the worker just before it dies.  The
+    test process itself, which serves the ``workers=1`` oracle, never
+    crashes."""
+    parent = os.getpid()
+    serve_batch = _WorkerServeState.serve_batch
+
+    def crashing_serve_batch(self, index):
+        if index == target and os.getpid() != parent:
+            try:
+                if flag is not None:
+                    os.close(os.open(
+                        flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass  # the once-only crash already happened
+            else:
+                if on_crash is not None:
+                    on_crash(index)
+                os.kill(os.getpid(), signal.SIGKILL)
+        return serve_batch(self, index)
+
+    monkeypatch.setattr(_WorkerServeState, "serve_batch",
+                        crashing_serve_batch)
+
+
 @pytest.fixture()
 def crash_env(monkeypatch, tmp_path):
     """Arm the fault injection for batch 3; yields the flag path."""
     flag = tmp_path / "crash-once"
-    monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", "3")
-    monkeypatch.setenv("REPRO_SERVE_CRASH_FLAG", str(flag))
+    arm_crash(monkeypatch, 3, flag)
     return flag
 
 
@@ -69,8 +99,7 @@ class TestCrashRecovery:
         """With no once-only flag, the targeted batch crashes on every
         attempt; the engine must give up after MAX_POOL_REBUILDS
         rebuilds with a ServingError instead of spinning forever."""
-        monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", "0")
-        monkeypatch.delenv("REPRO_SERVE_CRASH_FLAG", raising=False)
+        arm_crash(monkeypatch, 0)
         with pytest.raises(ServingError) as excinfo:
             serve(OPTIONS)
         assert "giving up" in str(excinfo.value)
@@ -83,8 +112,7 @@ def crash_queued_env(monkeypatch, tmp_path):
     once, so at least six of OPTIONS' nine batches are still queued
     behind the crash."""
     flag = tmp_path / "crash-once"
-    monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", "1")
-    monkeypatch.setenv("REPRO_SERVE_CRASH_FLAG", str(flag))
+    arm_crash(monkeypatch, 1, flag)
     return flag
 
 
@@ -100,8 +128,6 @@ class TestCrashWhileQueued:
         assert len(indices) >= 8
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="workers inherit the patched method by fork")
 class TestWorkerException:
     def test_exception_reraised_and_queued_batches_cancelled(
             self, monkeypatch, tmp_path):
@@ -148,8 +174,6 @@ def mysql_pool_patch_text():
         "malloc", ccid, VulnType.OVERFLOW | VulnType.UNINIT_READ)])
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="workers inherit the patched methods by fork")
 class TestCrashAcrossSwap:
     def test_rebuilt_pool_recaptures_the_new_version(self, monkeypatch,
                                                      tmp_path):
@@ -173,23 +197,15 @@ class TestCrashAcrossSwap:
                 handle.write(f"{os.getpid()} {line}\n")
 
         image = _WorkerServeState.image
-        crash = engine_module._maybe_inject_crash
 
         def logged_image(self, version):
             if version not in self._images:
                 note(f"capture {version}")
             return image(self, version)
 
-        def logged_crash(index):
-            if index == swap_batch and not flag.exists():
-                note(f"crash {index}")
-            crash(index)
-
         monkeypatch.setattr(_WorkerServeState, "image", logged_image)
-        monkeypatch.setattr(engine_module, "_maybe_inject_crash",
-                            logged_crash)
-        monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", str(swap_batch))
-        monkeypatch.setenv("REPRO_SERVE_CRASH_FLAG", str(flag))
+        arm_crash(monkeypatch, swap_batch, flag,
+                  on_crash=lambda index: note(f"crash {index}"))
         crashed = serve(options)
         assert flag.exists(), "fault injection never fired"
         assert canonical(crashed) == canonical(oracle)

@@ -86,8 +86,7 @@ def layer_state(session):
         "fault_count": memory.fault_count,
         "mprotect_count": memory.mprotect_count,
         "peak_resident_pages": memory.peak_resident_pages,
-        "allocator": (underlying.stats.snapshot(),
-                      underlying.stats.size_histogram),
+        "allocator": underlying.stats.snapshot(),
         "runtime": (runtime.updates_executed, runtime.sites_crossed,
                     runtime.value),
         "stack": session.process.depth,
@@ -95,7 +94,6 @@ def layer_state(session):
     if defended:
         quarantine = heap.quarantine
         state["interposer"] = (heap.stats.snapshot(),
-                               heap.stats.size_histogram,
                                dict(heap.enhanced_counts))
         state["quarantine"] = ([(block.address, block.size)
                                 for block in quarantine.blocks()],
@@ -146,7 +144,7 @@ def test_forked_batches_equal_fresh_starts(service, allocator, defended,
         assert len(set(versions)) == 2
     if defended and table != "empty" and service == "mysql":
         _, layers = fresh[indices[-1]]
-        assert layers["interposer"][2][VulnType.OVERFLOW] == 64
+        assert layers["interposer"][1][VulnType.OVERFLOW] == 64
     if service == "nginx":
         statuses = {status for index in indices
                     for status, _ in fresh[index][0].outcomes}
@@ -208,9 +206,7 @@ def fork_state(memory, heap, returned):
         "mappings": list(memory.iter_mappings()),
         "counters": (memory.brk, memory.fault_count, memory.mprotect_count,
                      memory.peak_resident_pages),
-        "stats": (heap.stats.snapshot(), dict(heap.stats.size_histogram),
-                  heap.underlying.stats.snapshot(),
-                  dict(heap.underlying.stats.size_histogram)),
+        "stats": (heap.stats.snapshot(), heap.underlying.stats.snapshot()),
         "quarantine": ([(block.address, block.size)
                         for block in heap.quarantine.blocks()],
                        heap.quarantine.held_bytes, heap.quarantine.pushed,
